@@ -25,11 +25,11 @@ class GeometricFitError(ValueError):
     """No geometric decay: a nontrivial eigenvalue has modulus (close to) 1."""
 
 
-def v_norm_distance(mu: np.ndarray, V: FunctionVector) -> float:
-    """V-norm of a finite signed measure: sum_x |mu_x| V(x)."""
+def v_norm_distance(mu: np.ndarray, V: FunctionVector) -> float | np.ndarray:
+    """V-norm of a finite signed measure, or of each row of mu: sum_x |mu_x| V(x)."""
     if np.any(V.values < 1.0):
         raise ValueError("V must be >= 1 entrywise")
-    return float(np.sum(np.abs(np.asarray(mu, dtype=float)) * V.values))
+    return np.sum(np.abs(np.asarray(mu, dtype=float)) * V.values, axis=-1)
 
 
 def drift_check(P: FiniteKernel, V: FunctionVector, lam: float) -> tuple[bool, float]:
@@ -59,15 +59,13 @@ def geometric_bound_fit(P: FiniteKernel, pi: ProbVector, V: FunctionVector,
     if slem >= 1.0 - 1e-9:
         raise GeometricFitError(f"second eigenvalue modulus {slem:.12f} too close to 1")
     rho = slem + RHO_MARGIN
-    n = P.size
     C = 0.0
-    Pn = np.eye(n)
+    Pn = np.eye(P.size)
     for step in range(n_max + 1):
-        for x in range(n):
-            dist = v_norm_distance(Pn[x] - pi.weights, V)
-            if dist <= NOISE_FLOOR:
-                continue  # converged to float round-off; would inflate C
-            C = max(C, dist / (rho ** step * V.values[x]))
+        dist = v_norm_distance(Pn - pi.weights, V)  # one entry per start state x
+        live = dist > NOISE_FLOOR  # rows converged to float round-off would inflate C
+        if live.any():
+            C = max(C, float(np.max(dist[live] / (rho ** step * V.values[live]))))
         Pn = Pn @ P.matrix
     return max(C, 1.0), rho
 

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import (ENTRY_TOL, FiniteKernel, ProbVector, StateSpace)
+from .variance import INVARIANCE_TOL, ReducibleChainError, _fundamental_solve
 
 MAX_JOINT_STATES = 256
 
@@ -23,7 +24,7 @@ ALGORITHMS = ("freeze", "systematic", "random_refresh", "noisy", "marginal_mh")
 
 
 class ReducibleKernelError(ValueError):
-    """Eigenvalue 1 has multiplicity above one: no unique stationary law."""
+    """Eigenvalue 1 is not simple: no unique stationary law."""
 
 
 @dataclass(frozen=True)
@@ -98,78 +99,58 @@ class ExtractedKernel:
     kernel: FiniteKernel
     algorithm: str
 
-    def to_document(self, pi: ProbVector) -> dict:
-        from .kernels import kernel_to_document
-        return kernel_to_document(self.kernel, pi, algorithm=self.algorithm)
-
 
 def freeze_acceptance_table(m: FiniteAugmentedModel) -> np.ndarray:
     """alpha[y, u, yhat, uhat] for the freeze move, clamped at 1."""
-    ny, nu = m.Y.size, m.U.size
-    alpha = np.empty((ny, nu, ny, nu))
-    for y in range(ny):
-        for u in range(nu):
-            denom_base = m.pi_star[y] * m.r[y, u]
-            for yh in range(ny):
-                for uh in range(nu):
-                    num_ = (m.pi_star[yh] * m.r[yh, uh]
-                            * m.S[yh, uh, y] * m.T[yh, uh, y, u])
-                    den_ = denom_base * m.S[y, u, yh] * m.T[y, u, yh, uh]
-                    alpha[y, u, yh, uh] = min(1.0, num_ / den_) if den_ > 0 else 1.0
-    return alpha
+    # flux[y, u, yh, uh] = pi(y, u) S[y, u, yh] T[y, u, yh, uh]; the reverse
+    # flux of the same move is its transpose across the two joint indices
+    flux = (m.pi_star[:, None] * m.r)[:, :, None, None] * m.S[:, :, :, None] * m.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(flux > 0, np.minimum(1.0, flux.transpose(2, 3, 0, 1) / flux), 1.0)
 
 
 def accept_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
     """The freeze accept/reject kernel Q on the joint space."""
-    ny, nu = m.Y.size, m.U.size
-    alpha = freeze_acceptance_table(m)
-    prop = m.S[:, :, :, None] * m.T  # proposal probability of (yhat, uhat) from (y, u)
-    K = np.zeros((ny * nu, ny * nu))
-    for y in range(ny):
-        for u in range(nu):
-            i = y * nu + u
-            accepted = prop[y, u] * alpha[y, u]
-            K[i] = accepted.reshape(-1)
-            # rejection mass stays put; computed as a complement so rows are stochastic
-            K[i, i] += 1.0 - accepted.sum()
+    n = m.Y.size * m.U.size
+    # proposal probability of (yhat, uhat) from (y, u), thinned by acceptance
+    K = (m.S[:, :, :, None] * m.T * freeze_acceptance_table(m)).reshape(n, n)
+    # rejection mass stays put; computed as a complement so rows are stochastic
+    K[np.diag_indices(n)] += 1.0 - K.sum(axis=1)
     return FiniteKernel(K, m.joint_space)
+
+
+def _refresh_kernel(m: FiniteAugmentedModel, probs: Optional[np.ndarray],
+                    w: Optional[np.ndarray] = None) -> FiniteKernel:
+    """Block-diagonal refresh (y, u) -> (y, u') with u' ~ probs[y, .].
+
+    With weights w the proposal is accepted with 1 ^ w[y,u']/w[y,u] and the
+    rejected mass stays on (y, u).
+    """
+    if probs is None:
+        raise ValueError("model has no (rcheck, w) refresh")
+    ny, nu = m.Y.size, m.U.size
+    blocks = np.broadcast_to(probs[:, None, :], (ny, nu, nu))
+    if w is not None:
+        blocks = blocks * np.minimum(1.0, w[:, None, :] / w[:, :, None])
+        blocks[:, np.arange(nu), np.arange(nu)] += 1.0 - blocks.sum(axis=2)
+    K = np.zeros((ny, nu, ny, nu))
+    K[np.arange(ny), :, np.arange(ny), :] = blocks
+    return FiniteKernel(K.reshape(ny * nu, ny * nu), m.joint_space)
 
 
 def systematic_refresh_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
     """P2: (y, u) -> (y, u') with u' ~ R(y, .); first coordinate held fixed."""
-    ny, nu = m.Y.size, m.U.size
-    K = np.zeros((ny * nu, ny * nu))
-    for y in range(ny):
-        for u in range(nu):
-            K[y * nu + u, y * nu: (y + 1) * nu] = m.r[y]
-    return FiniteKernel(K, m.joint_space)
+    return _refresh_kernel(m, m.r)
 
 
 def check_refresh_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
     """Unconditional refresh through rcheck (the noisy algorithm's step (i))."""
-    if m.rcheck is None:
-        raise ValueError("model has no rcheck refresh")
-    ny, nu = m.Y.size, m.U.size
-    K = np.zeros((ny * nu, ny * nu))
-    for y in range(ny):
-        for u in range(nu):
-            K[y * nu + u, y * nu: (y + 1) * nu] = m.rcheck[y]
-    return FiniteKernel(K, m.joint_space)
+    return _refresh_kernel(m, m.rcheck)
 
 
 def random_refresh_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
     """P3: propose u' ~ rcheck(y, .), accept with 1 ^ w[y,u']/w[y,u]."""
-    if m.rcheck is None:
-        raise ValueError("model has no (rcheck, w) refresh")
-    ny, nu = m.Y.size, m.U.size
-    K = np.zeros((ny * nu, ny * nu))
-    for y in range(ny):
-        for u in range(nu):
-            i = y * nu + u
-            acc = m.rcheck[y] * np.minimum(1.0, m.w[y] / m.w[y, u])
-            K[i, y * nu: (y + 1) * nu] = acc
-            K[i, i] += 1.0 - acc.sum()
-    return FiniteKernel(K, m.joint_space)
+    return _refresh_kernel(m, m.rcheck, m.w)
 
 
 def marginal_mh_proposal(m: FiniteAugmentedModel) -> np.ndarray:
@@ -180,13 +161,12 @@ def marginal_mh_proposal(m: FiniteAugmentedModel) -> np.ndarray:
 def marginal_mh_exact_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
     """Classical MH kernel on Y with the marginalized proposal k."""
     k = marginal_mh_proposal(m)
-    ny = m.Y.size
-    K = np.zeros((ny, ny))
-    for y in range(ny):
-        for yh in range(ny):
-            ratio = m.pi_star[yh] * k[yh, y] / (m.pi_star[y] * k[y, yh])
-            K[y, yh] = k[y, yh] * min(1.0, ratio)
-        K[y, y] += 1.0 - K[y].sum()
+    flow = m.pi_star[:, None] * k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = flow.T / flow
+    # fmin, like min(1, ratio), takes 1 for a 0/0 ratio between unlinked states
+    K = k * np.fmin(1.0, ratio)
+    K[np.diag_indices(m.Y.size)] += 1.0 - K.sum(axis=1)
     return FiniteKernel(K, m.Y)
 
 
@@ -196,17 +176,12 @@ def extract_kernel(algorithm: str, m: FiniteAugmentedModel) -> ExtractedKernel:
     freeze / systematic / random_refresh / noisy are returned on the joint
     space (the product-kernel embeddings P_i Q); marginal_mh lives on Y.
     """
+    refresh = {"systematic": systematic_refresh_kernel, "noisy": check_refresh_kernel,
+               "random_refresh": random_refresh_kernel}
     if algorithm == "freeze":
         K = accept_kernel(m)
-    elif algorithm == "systematic":
-        K = FiniteKernel(systematic_refresh_kernel(m).matrix @ accept_kernel(m).matrix,
-                         m.joint_space)
-    elif algorithm == "random_refresh":
-        K = FiniteKernel(random_refresh_kernel(m).matrix @ accept_kernel(m).matrix,
-                         m.joint_space)
-    elif algorithm == "noisy":
-        K = FiniteKernel(check_refresh_kernel(m).matrix @ accept_kernel(m).matrix,
-                         m.joint_space)
+    elif algorithm in refresh:
+        K = FiniteKernel(refresh[algorithm](m).matrix @ accept_kernel(m).matrix, m.joint_space)
     elif algorithm == "marginal_mh":
         K = marginal_mh_exact_kernel(m)
     else:
@@ -234,22 +209,21 @@ def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel,
 
 
 def stationary_distribution(K: FiniteKernel) -> ProbVector:
-    """Unique pi with pi K = pi, via a deflated linear solve.
+    """Unique pi with pi K = pi: pi (I - K + 1 u^T) = u^T for uniform u.
 
-    Raises ReducibleKernelError when the eigenvalue 1 is not simple.
+    Raises ReducibleKernelError when the solve's ||.^-1||_1 estimate exceeds
+    1 / EIGENVALUE_ONE_TOL (the eigenvalue 1 of K is not simple), or when the
+    clipped, renormalized pi leaves a residual |pi K - pi| above INVARIANCE_TOL.
     """
-    n = K.size
-    eigs = np.linalg.eigvals(K.matrix)
-    if int(np.sum(np.abs(eigs - 1.0) < 1e-9)) != 1:
-        raise ReducibleKernelError("reducible kernel")
-    A = np.vstack([K.matrix.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
+    u = np.full(K.size, 1.0 / K.size)
+    try:
+        pi = _fundamental_solve(K.matrix, u, u, transposed=True)
+    except ReducibleChainError as exc:
+        raise ReducibleKernelError(f"reducible kernel: {exc}") from exc
     pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum()
     resid = np.max(np.abs(pi @ K.matrix - pi))
-    if resid > 1e-12:
+    if resid > INVARIANCE_TOL:
         raise ReducibleKernelError(f"stationary solve residual {resid:.3e} too large")
     return ProbVector(pi, K.space)
 

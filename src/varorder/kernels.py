@@ -261,13 +261,10 @@ def random_reversible_kernel(rng: np.random.Generator, n: int,
         pi = ProbVector(w / w.sum())
     K = rng.uniform(0.05, 1.0, size=(n, n))
     K /= K.sum(axis=1, keepdims=True)
-    P = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                P[i, j] = K[i, j] * min(1.0, pi.weights[j] * K[j, i]
-                                        / (pi.weights[i] * K[i, j]))
-        P[i, i] = 1.0 - P[i].sum()
+    flow = pi.weights[:, None] * K
+    P = K * np.minimum(1.0, flow.T / flow)
+    np.fill_diagonal(P, 0.0)
+    P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
     return FiniteKernel(P, pi.space), pi
 
 

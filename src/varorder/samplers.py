@@ -248,20 +248,6 @@ def marginal_mh_step(k: MarginalProposal, log_pi_star: Callable[[Any], float],
     return ChainState(y=yh if ok else y, accepts={"move": ok})
 
 
-def generic_rn_mh_step(proposal: Callable[[np.random.Generator, Any], Any],
-                       rn_ratio: Callable[[Any, Any], float],
-                       state: ChainState, rng) -> ChainState:
-    """MH with a caller-supplied Radon-Nikodym ratio dnu/dmu(x, x')."""
-    gen = _gen(rng)
-    x = state.y
-    x2 = proposal(gen, x)
-    ratio = rn_ratio(x, x2)
-    if not (math.isfinite(ratio) and ratio > 0.0):
-        raise DensityError("dnu/dmu", ratio)
-    ok = ratio >= 1.0 or gen.uniform() < ratio
-    return ChainState(y=x2 if ok else x, accepts={"move": ok})
-
-
 def run_chain(stepper, m, initial: ChainState, n: int, rng) -> ChainTrace:
     """Run n steps; trace length is n + 1 and is deterministic given rng."""
     if n < 0:

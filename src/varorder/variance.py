@@ -82,11 +82,56 @@ def centered_spectral_radius(M: np.ndarray, pi: ProbVector) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(_deflate(M, pi)))))
 
 
-def _geometric_tail_solve(M: np.ndarray, pi: ProbVector, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - M) g = rhs on the centered subspace (rhs assumed centered)."""
+def _solve_with_norm_estimate(Z: np.ndarray, b: np.ndarray,
+                              transposed: bool) -> tuple[np.ndarray, float]:
+    """Solve Z x = b (Z^T x = b if transposed); estimate ||Z^{-1}||_1.
+
+    Hager's estimator with LAPACK dlacn2's alternating-sign probe (the pair
+    behind gecon).  Its start 1/n is a fixed point, Z 1 = 1, so the first step
+    needs only a Z^T solve; b rides along with the first solve on its side.
+    """
+    n = Z.shape[0]
+    zb = np.linalg.solve(Z.T, np.column_stack([np.ones(n)] + ([b] if transposed else [])))
+    j = int(np.argmax(np.abs(zb[:, 0])))
+    ramp = 1.0 + np.arange(n) / max(n - 1, 1)
+    probes = [np.eye(1, n, j)[0], np.where(np.arange(n) % 2 == 0, ramp, -ramp)]
+    yb = np.linalg.solve(Z, np.column_stack(probes + ([] if transposed else [b])))
+    y, est = yb[:, 0], max(1.0, 2.0 * float(np.sum(np.abs(yb[:, 1]))) / (3.0 * n))
+    for _ in range(4):  # dlacn2's cap of five steps
+        est = max(est, float(np.sum(np.abs(y))))
+        z = np.linalg.solve(Z.T, np.where(y >= 0.0, 1.0, -1.0))
+        if np.max(np.abs(z)) <= z[j]:  # optimality test at x = e_j
+            break
+        j = int(np.argmax(np.abs(z)))
+        y = np.linalg.solve(Z, np.eye(1, n, j)[0])
+    x = zb[:, 1:] if transposed else yb[:, 2:]
+    return x, max(est, float(np.sum(np.abs(y))))
+
+
+def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
+                       transposed: bool = False, check_condition: bool = True) -> np.ndarray:
+    """Solve Z x = rhs (Z^T x = rhs if transposed) for Z = I - M + 1 u^T.
+
+    For u summing to 1, Z is singular exactly when the eigenvalue 1 of the
+    stochastic M is not simple.  ReducibleChainError when LAPACK finds Z
+    singular, x is not finite, or (check_condition, for callers that have not
+    bounded the spectrum of M away from 1) ||Z^{-1}||_1 is estimated above
+    1 / EIGENVALUE_ONE_TOL.
+    """
     n = M.shape[0]
-    A = np.eye(n) - _deflate(M, pi)
-    return np.linalg.solve(A, rhs)
+    Z = u - M
+    Z[np.diag_indices(n)] += 1.0
+    b = np.reshape(rhs, (n, -1))
+    try:
+        if check_condition:
+            x, est = _solve_with_norm_estimate(Z, b, transposed)
+        else:
+            x, est = np.linalg.solve(Z.T if transposed else Z, b), 0.0
+    except np.linalg.LinAlgError as exc:
+        raise ReducibleChainError(f"I - M + 1u^T is singular ({exc})") from exc
+    if not (est <= 1.0 / EIGENVALUE_ONE_TOL and np.all(np.isfinite(x))):
+        raise ReducibleChainError(f"eigenvalue 1 is not simple: ||Z^-1||_1 ~ {est:.3e}")
+    return x.reshape(np.shape(rhs))
 
 
 def _inner(pi: ProbVector, a: np.ndarray, b: np.ndarray) -> float:
@@ -96,17 +141,15 @@ def _inner(pi: ProbVector, a: np.ndarray, b: np.ndarray) -> float:
 def asvar_homogeneous(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> VarianceReport:
     """Exact asymptotic variance of a homogeneous pi-stationary chain.
 
-    Uses v = pi fbar^2 + 2 <fbar, g> with (I - P) g = P fbar solved on the
-    centered subspace.
+    Uses v = pi fbar^2 + 2 <fbar, g> with (I - P + 1 pi^T) g = P fbar, one
+    gated solve: ReducibleChainError when its ||.^-1||_1 estimate exceeds
+    1 / EIGENVALUE_ONE_TOL (the eigenvalue 1 of P is not simple).
     """
     resid = np.max(np.abs(pi.weights @ P.matrix - pi.weights))
     if resid > INVARIANCE_TOL:
         raise ValueError(f"pi is not invariant for P (residual {resid:.3e})")
-    eigs = np.linalg.eigvals(_deflate(P.matrix, pi))
-    if np.any(np.abs(eigs - 1.0) < EIGENVALUE_ONE_TOL):
-        raise ReducibleChainError("stationary behavior not unique")
     fbar = _centered(f, pi)
-    g = _geometric_tail_solve(P.matrix, pi, P.matrix @ fbar)
+    g = _fundamental_solve(P.matrix, pi.weights, P.matrix @ fbar)
     value = _inner(pi, fbar, fbar) + 2.0 * _inner(pi, fbar, g)
     return VarianceReport(value=max(value, 0.0), method="closed_form",
                           diagnostics={"variance_of_f": _inner(pi, fbar, fbar)})
@@ -126,15 +169,16 @@ def asvar_alternating(m: AlternatingModel) -> VarianceReport:
             f"absolute-summability condition fails: centered spectral radius {rho:.12f}",
             spectral_radius=rho)
     fbar = _centered(m.f, m.pi)
-    # X_0 series: lags 2n -> <fbar, A^n fbar> (n>=1), 2n+1 -> <fbar, A^n P fbar> (n>=0)
-    tail_even0 = _geometric_tail_solve(A, m.pi, _deflate(A, m.pi) @ fbar)
-    tail_odd0 = _geometric_tail_solve(A, m.pi, _deflate(m.P.matrix, m.pi) @ fbar)
-    # X_1 series: lags 2n -> <fbar, B^n fbar> (n>=1), 2n+1 -> <fbar, B^n Q fbar> (n>=0)
-    tail_even1 = _geometric_tail_solve(B, m.pi, _deflate(B, m.pi) @ fbar)
-    tail_odd1 = _geometric_tail_solve(B, m.pi, _deflate(m.Q.matrix, m.pi) @ fbar)
-    value = (_inner(m.pi, fbar, fbar)
-             + _inner(m.pi, fbar, tail_even0) + _inner(m.pi, fbar, tail_odd0)
-             + _inner(m.pi, fbar, tail_even1) + _inner(m.pi, fbar, tail_odd1))
+    # X_0 series: lags 2n -> <fbar, A^n fbar> (n>=1), 2n+1 -> <fbar, A^n P fbar> (n>=0);
+    # X_1 series: lags 2n -> <fbar, B^n fbar> (n>=1), 2n+1 -> <fbar, B^n Q fbar> (n>=0).
+    # rho < 1 already keeps both solves away from singular: no condition estimate.
+    tails = [_fundamental_solve(C, m.pi.weights,
+                                np.column_stack([_deflate(C, m.pi) @ fbar,
+                                                 _deflate(D, m.pi) @ fbar]),
+                                check_condition=False)
+             for C, D in ((A, m.P.matrix), (B, m.Q.matrix))]
+    value = sum((_inner(m.pi, fbar, t) for tail in tails for t in tail.T),
+                _inner(m.pi, fbar, fbar))
     return VarianceReport(value=max(value, 0.0), method="closed_form",
                           diagnostics={"spectral_radius": rho})
 

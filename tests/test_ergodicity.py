@@ -68,6 +68,14 @@ def test_geometric_fit_bound_extends_beyond_fit_horizon():
         Pn = Pn @ K.matrix
 
 
+def test_geometric_fit_requires_v_at_least_one():
+    m, pi, _ = registry_pieces()
+    K = exactify.extract_kernel("systematic", m).kernel
+    V = FunctionVector(np.full(pi.space.size, 0.5), pi.space)
+    with pytest.raises(ValueError, match="V must be >= 1"):
+        geometric_bound_fit(K, pi, V)
+
+
 def test_reducible_kernel_has_no_certificate():
     sp = toys.two_state_space()
     pi = toys.uniform_two_state()

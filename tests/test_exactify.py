@@ -1,5 +1,8 @@
 """Exact transition matrices of the augmented-target samplers on finite toys."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,72 @@ from varorder.kernels import FiniteKernel, detailed_balance_check
 @pytest.fixture
 def model():
     return toys.registry_toy()
+
+
+def random_model(rng, ny, nu, zero_moves=False):
+    """Dense random model in the (rcheck, w) form; with zero_moves, S never
+    proposes y = 0 and T never proposes u = 0, so the flux has zero entries."""
+    pi = rng.uniform(0.2, 1.0, ny)
+    rcheck = rng.uniform(0.05, 1.0, (ny, nu))
+    rcheck /= rcheck.sum(axis=1, keepdims=True)
+    raw_w = rng.uniform(0.2, 2.0, (ny, nu))
+    S = rng.uniform(0.05, 1.0, (ny, nu, ny))
+    T = rng.uniform(0.05, 1.0, (ny, nu, ny, nu))
+    if zero_moves:
+        S[:, :, 0] = 0.0
+        T[..., 0] = 0.0
+    return FiniteAugmentedModel(
+        Y=toys.StateSpace(range(ny)), U=toys.StateSpace(range(nu)),
+        pi_star=pi / pi.sum(), S=S / S.sum(axis=2, keepdims=True),
+        T=T / T.sum(axis=3, keepdims=True), rcheck=rcheck,
+        w=raw_w / (rcheck * raw_w).sum(axis=1, keepdims=True))
+
+
+def reference_models():
+    rng = np.random.default_rng(2024)
+    return [toys.registry_toy(), toys.finite_gimh_toy()[0],
+            random_model(rng, 4, 3, zero_moves=True), random_model(rng, 16, 16)]
+
+
+def loop_accept_kernel(m):
+    """Element-by-element freeze acceptance table and accept kernel."""
+    ny, nu = m.Y.size, m.U.size
+    alpha = np.empty((ny, nu, ny, nu))
+    for y, u, yh, uh in itertools.product(range(ny), range(nu), range(ny), range(nu)):
+        num_ = m.pi_star[yh] * m.r[yh, uh] * m.S[yh, uh, y] * m.T[yh, uh, y, u]
+        den_ = m.pi_star[y] * m.r[y, u] * m.S[y, u, yh] * m.T[y, u, yh, uh]
+        alpha[y, u, yh, uh] = min(1.0, num_ / den_) if den_ > 0 else 1.0
+    K = np.zeros((ny * nu, ny * nu))
+    for y, u in itertools.product(range(ny), range(nu)):
+        i = y * nu + u
+        accepted = m.S[y, u, :, None] * m.T[y, u] * alpha[y, u]
+        K[i] = accepted.reshape(-1)
+        K[i, i] += 1.0 - accepted.sum()
+    return alpha, K
+
+
+def loop_refresh_kernel(m, probs, w=None):
+    """Row-by-row refresh kernel; with w, a Metropolized refresh."""
+    ny, nu = m.Y.size, m.U.size
+    K = np.zeros((ny * nu, ny * nu))
+    for y, u in itertools.product(range(ny), range(nu)):
+        i = y * nu + u
+        acc = probs[y] * (1.0 if w is None else np.minimum(1.0, w[y] / w[y, u]))
+        K[i, y * nu: (y + 1) * nu] = acc
+        if w is not None:
+            K[i, i] += 1.0 - acc.sum()
+    return K
+
+
+def loop_marginal_mh_kernel(m):
+    k = marginal_mh_proposal(m)
+    K = np.zeros_like(k)
+    for y in range(m.Y.size):
+        for yh in range(m.Y.size):
+            ratio = m.pi_star[yh] * k[yh, y] / (m.pi_star[y] * k[y, yh])
+            K[y, yh] = k[y, yh] * min(1.0, ratio)
+        K[y, y] += 1.0 - K[y].sum()
+    return K
 
 
 # ---- model validation ----
@@ -57,6 +126,24 @@ def test_joint_space_size_cap():
 
 
 # ---- component kernels ----
+
+@pytest.mark.parametrize("m", reference_models())
+def test_vectorized_kernels_match_element_loops(m):
+    alpha, K = loop_accept_kernel(m)
+    with np.errstate(all="ignore"):  # the loop divides 0/0 where k has zeros
+        K_mh = loop_marginal_mh_kernel(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # 0/0 flux stays silent
+        assert np.array_equal(exactify.freeze_acceptance_table(m), alpha)
+        assert np.array_equal(accept_kernel(m).matrix, K)
+        assert np.array_equal(exactify.marginal_mh_exact_kernel(m).matrix, K_mh)
+    assert np.array_equal(systematic_refresh_kernel(m).matrix,
+                          loop_refresh_kernel(m, m.r))
+    assert np.array_equal(check_refresh_kernel(m).matrix,
+                          loop_refresh_kernel(m, m.rcheck))
+    assert np.array_equal(random_refresh_kernel(m).matrix,
+                          loop_refresh_kernel(m, m.rcheck, m.w))
+
 
 def test_accept_kernel_is_pi_reversible(model):
     assert detailed_balance_check(accept_kernel(model), model.joint_pi).holds

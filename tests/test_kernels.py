@@ -81,6 +81,26 @@ def test_random_reversible_kernel_satisfies_detailed_balance():
         assert detailed_balance_check(P, pi).holds
 
 
+@pytest.mark.parametrize("n", [3, 12, 64, 200])
+def test_random_reversible_kernel_matches_element_loop(n):
+    """Same draws and the same per-entry arithmetic as a plain double loop;
+    n = 200 exercises numpy's blocked row sums."""
+    P, pi = random_reversible_kernel(np.random.default_rng(n), n)
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.2, 1.0, size=n)
+    p = w / w.sum()
+    K = rng.uniform(0.05, 1.0, size=(n, n))
+    K /= K.sum(axis=1, keepdims=True)
+    ref = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ref[i, j] = K[i, j] * min(1.0, p[j] * K[j, i] / (p[i] * K[i, j]))
+        ref[i, i] = 1.0 - ref[i].sum()
+    assert np.array_equal(pi.weights, p)
+    assert np.array_equal(P.matrix, ref)
+
+
 # ---- orderings ----
 
 def test_lazy_pair_is_covariance_ordered():

@@ -18,6 +18,7 @@ from varorder.variance import (AlternatingModel, ReducibleChainError,
                                batch_means_variance, empirical_autocov,
                                truncated_autocov_series)
 from varorder import toys
+from varorder.exactify import ReducibleKernelError, stationary_distribution
 
 
 def two_state_chain(eps):
@@ -51,6 +52,25 @@ def test_identity_kernel_is_rejected():
     f = FunctionVector([0.0, 1.0], pi.space)
     with pytest.raises(ReducibleChainError):
         asvar_homogeneous(identity_kernel(pi.space), pi, f)
+
+
+@pytest.mark.parametrize("eps, accepted", [(1e-6, True), (1e-9, True),
+                                          (3e-10, False), (1e-12, False)])
+def test_near_reducible_gate_boundary(eps, accepted):
+    """Both solves gate on ||Z^-1||_1 = 1 / (2 eps) against 1 / EIGENVALUE_ONE_TOL."""
+    K = FiniteKernel([[1.0 - eps, eps], [eps, 1.0 - eps]])
+    pi = ProbVector([0.5, 0.5])
+    f = FunctionVector([0.0, 1.0], pi.space)
+    if accepted:
+        assert np.allclose(stationary_distribution(K).weights, 0.5, atol=1e-10)
+        # v = pi(fbar^2) (1 + lambda) / (1 - lambda) with lambda = 1 - 2 eps
+        assert asvar_homogeneous(K, pi, f).value == pytest.approx((1 - eps) / (4 * eps),
+                                                                  rel=1e-6)
+    else:
+        with pytest.raises(ReducibleKernelError):
+            stationary_distribution(K)
+        with pytest.raises(ReducibleChainError):
+            asvar_homogeneous(K, pi, f)
 
 
 def test_non_invariant_pi_is_rejected():
