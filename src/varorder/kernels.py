@@ -240,13 +240,6 @@ def lag_one_autocov(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> float
     return float(np.sum(pi.weights * f.values * (P.matrix @ f.values)))
 
 
-def inner(pi: ProbVector, f, g) -> float:
-    """L2(pi) inner product of two function vectors (or raw arrays)."""
-    fv = f.values if isinstance(f, FunctionVector) else np.asarray(f, dtype=float)
-    gv = g.values if isinstance(g, FunctionVector) else np.asarray(g, dtype=float)
-    return float(np.sum(pi.weights * fv * gv))
-
-
 def random_reversible_kernel(rng: np.random.Generator, n: int,
                              pi: Optional[ProbVector] = None
                              ) -> tuple[FiniteKernel, ProbVector]:

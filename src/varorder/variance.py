@@ -72,16 +72,6 @@ def _centered(f: FunctionVector, pi: ProbVector) -> np.ndarray:
     return f.values - float(np.sum(pi.weights * f.values))
 
 
-def _deflate(M: np.ndarray, pi: ProbVector) -> np.ndarray:
-    """Remove the constant direction: replaces the eigenvalue 1 of M by 0."""
-    return M - np.outer(np.ones(M.shape[0]), pi.weights)
-
-
-def centered_spectral_radius(M: np.ndarray, pi: ProbVector) -> float:
-    """Spectral radius of a pi-stationary kernel matrix on the centered subspace."""
-    return float(np.max(np.abs(np.linalg.eigvals(_deflate(M, pi)))))
-
-
 def _solve_with_norm_estimate(Z: np.ndarray, b: np.ndarray,
                               transposed: bool) -> tuple[np.ndarray, float]:
     """Solve Z x = b (Z^T x = b if transposed); estimate ||Z^{-1}||_1.
@@ -116,17 +106,17 @@ def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
     stochastic M is not simple.  ReducibleChainError when LAPACK finds Z
     singular, x is not finite, or (check_condition, for callers that have not
     bounded the spectrum of M away from 1) ||Z^{-1}||_1 is estimated above
-    1 / EIGENVALUE_ONE_TOL.
+    1 / EIGENVALUE_ONE_TOL.  Without check_condition, M (..., n, n), u
+    (..., n) and rhs (..., n, k) may carry leading stack axes.
     """
-    n = M.shape[0]
-    Z = u - M
-    Z[np.diag_indices(n)] += 1.0
-    b = np.reshape(rhs, (n, -1))
+    n = M.shape[-1]
+    Z = u[..., None, :] - M
+    Z[..., np.arange(n), np.arange(n)] += 1.0
     try:
         if check_condition:
-            x, est = _solve_with_norm_estimate(Z, b, transposed)
+            x, est = _solve_with_norm_estimate(Z, np.reshape(rhs, (n, -1)), transposed)
         else:
-            x, est = np.linalg.solve(Z.T if transposed else Z, b), 0.0
+            x, est = np.linalg.solve(np.swapaxes(Z, -1, -2) if transposed else Z, rhs), 0.0
     except np.linalg.LinAlgError as exc:
         raise ReducibleChainError(f"I - M + 1u^T is singular ({exc})") from exc
     if not (est <= 1.0 / EIGENVALUE_ONE_TOL and np.all(np.isfinite(x))):
@@ -155,32 +145,46 @@ def asvar_homogeneous(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> Var
                           diagnostics={"variance_of_f": _inner(pi, fbar, fbar)})
 
 
-def asvar_alternating(m: AlternatingModel) -> VarianceReport:
-    """Exact asymptotic variance of the alternating P,Q,P,Q,... chain.
+def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray]:
+    """Exact asymptotic variances of a stack of alternating P,Q,P,Q,... chains.
 
-    The two covariance series (anchored at X_0 and at X_1) are split into
-    even/odd lags and each geometric tail is resolved by one linear solve.
+    P, Q: (..., n, n) and pi, f: (..., n) with broadcastable leading axes;
+    returns (values, rho) of the leading shape.  PQ - 1 pi^T is
+    (P - 1 pi^T)(Q - 1 pi^T) and QP - 1 pi^T the reverse product, so one
+    spectrum per member gives the centered spectral radius rho of both.
+    ValueError when pi is not invariant for some P or Q; SummabilityError
+    (worst rho) when some rho >= 1 - SPECTRAL_MARGIN.
     """
-    A = m.P.matrix @ m.Q.matrix
-    B = m.Q.matrix @ m.P.matrix
-    rho = max(centered_spectral_radius(A, m.pi), centered_spectral_radius(B, m.pi))
-    if rho >= 1.0 - SPECTRAL_MARGIN:
+    D = np.stack([P, Q], axis=-3)
+    pi_rows = pi[..., None, None, :]  # the rows of 1 pi^T, against (..., 2, n, n)
+    resid = np.max(np.abs(pi_rows @ D - pi_rows))
+    if resid > INVARIANCE_TOL:
+        raise ValueError(f"pi is not invariant for some P or Q (residual {resid:.3e})")
+    M = D @ D[..., ::-1, :, :]  # PQ and QP
+    rho = np.max(np.abs(np.linalg.eigvals(M[..., 0, :, :] - pi[..., None, :])), axis=-1)
+    if np.any(rho >= 1.0 - SPECTRAL_MARGIN):
+        worst = float(np.max(rho))
         raise SummabilityError(
-            f"absolute-summability condition fails: centered spectral radius {rho:.12f}",
-            spectral_radius=rho)
-    fbar = _centered(m.f, m.pi)
-    # X_0 series: lags 2n -> <fbar, A^n fbar> (n>=1), 2n+1 -> <fbar, A^n P fbar> (n>=0);
-    # X_1 series: lags 2n -> <fbar, B^n fbar> (n>=1), 2n+1 -> <fbar, B^n Q fbar> (n>=0).
-    # rho < 1 already keeps both solves away from singular: no condition estimate.
-    tails = [_fundamental_solve(C, m.pi.weights,
-                                np.column_stack([_deflate(C, m.pi) @ fbar,
-                                                 _deflate(D, m.pi) @ fbar]),
-                                check_condition=False)
-             for C, D in ((A, m.P.matrix), (B, m.Q.matrix))]
-    value = sum((_inner(m.pi, fbar, t) for tail in tails for t in tail.T),
-                _inner(m.pi, fbar, fbar))
-    return VarianceReport(value=max(value, 0.0), method="closed_form",
-                          diagnostics={"spectral_radius": rho})
+            f"absolute-summability condition fails: centered spectral radius {worst:.12f}",
+            spectral_radius=worst)
+    fbar = f - np.sum(pi * f, axis=-1, keepdims=True)
+    # X_0 series: lags 2n -> <fbar, A^n fbar> (n>=1), 2n+1 -> <fbar, A^n P fbar> (n>=0)
+    # for A = PQ; X_1 series likewise with B = QP and Q.  Each geometric tail is one
+    # column of one stacked solve; rho < 1 keeps Z away from singular: no estimate.
+    fcol = fbar[..., None, :, None]
+    rhs = np.concatenate([(M - pi_rows) @ fcol, (D - pi_rows) @ fcol], axis=-1)
+    tails = _fundamental_solve(M, pi[..., None, :], rhs, check_condition=False)
+    w = pi * fbar
+    values = np.sum(w * fbar, axis=-1) + np.einsum("...i,...aib->...", w, tails)
+    return np.maximum(values, 0.0), rho
+
+
+def asvar_alternating(m: AlternatingModel) -> VarianceReport:
+    """Exact asymptotic variance of the alternating P,Q,P,Q,... chain: one
+    member of asvar_alternating_stack."""
+    value, rho = asvar_alternating_stack(m.P.matrix, m.Q.matrix, m.pi.weights, m.f.values)
+    return VarianceReport(value=float(value), method="closed_form",
+                          diagnostics={"spectral_radius": float(rho)})
 
 
 def truncated_autocov_series(m: AlternatingModel, K: int) -> VarianceReport:
@@ -191,10 +195,8 @@ def truncated_autocov_series(m: AlternatingModel, K: int) -> VarianceReport:
     """
     if K < 1:
         raise ValueError("truncation length must be >= 1")
-    A = _deflate(m.P.matrix @ m.Q.matrix, m.pi)
-    B = _deflate(m.Q.matrix @ m.P.matrix, m.pi)
-    Pd = _deflate(m.P.matrix, m.pi)
-    Qd = _deflate(m.Q.matrix, m.pi)
+    P, Q = m.P.matrix, m.Q.matrix
+    A, B, Pd, Qd = (M - m.pi.weights for M in (P @ Q, Q @ P, P, Q))  # M - 1 pi^T
     fbar = _centered(m.f, m.pi)
     var_f = _inner(m.pi, fbar, fbar)
     total = var_f
@@ -220,20 +222,20 @@ def truncated_autocov_series(m: AlternatingModel, K: int) -> VarianceReport:
 
 
 def alternating_partial_sum_variance(m: AlternatingModel, n: int) -> float:
-    """Exact Var(sum_{k<n} f(X_k)) for the alternating chain, by enumeration.
+    """Exact Var(sum_{k<n} f(X_k)) for the alternating chain started from pi.
 
-    Quadratic in n; intended for desk-scale counterexample checks (the flip
-    kernel sits outside asvar_alternating's summability precondition).
+    Cov(f(X_i), f(X_j)) depends only on i mod 2 and j - i, so each lag's two
+    covariances are weighted by their pair counts: linear in n.  Covers the
+    flip kernel, which sits outside asvar_alternating's precondition.
     """
     fbar = _centered(m.f, m.pi)
-    var_f = _inner(m.pi, fbar, fbar)
-    total = n * var_f
-    kernels = [m.P.matrix, m.Q.matrix]
-    for i in range(n):
-        w = m.pi.weights * fbar  # signed measure fbar dpi propagated forward
-        for j in range(i + 1, n):
-            w = w @ kernels[(j - 1) % 2]
-            total += 2.0 * float(w @ fbar)
+    total = n * _inner(m.pi, fbar, fbar)
+    K = np.stack([m.P.matrix, m.Q.matrix])
+    w = np.stack([m.pi.weights * fbar] * 2)  # row p: fbar dpi at a start i = p mod 2
+    for lag in range(1, n):
+        w = (w[:, None, :] @ K[[(lag - 1) % 2, lag % 2]])[:, 0, :]  # row p: K[(p+lag-1) % 2]
+        pairs = (n - lag + 1 - np.arange(2)) // 2  # starts i < n - lag with i = p mod 2
+        total += 2.0 * float(pairs @ (w @ fbar))
     return total
 
 

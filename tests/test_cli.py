@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from varorder import cli
+from varorder import cli, kernels, variance
 
 
 EXPECTED_SCENARIOS = {
@@ -143,3 +143,42 @@ def test_every_registry_scenario_runs(tmp_path):
         assert os.path.exists(os.path.join(out, "results.csv"))
         assert os.path.exists(os.path.join(out, "report.json"))
         assert os.path.exists(os.path.join(out, "metadata.json"))
+
+
+@pytest.mark.parametrize("pairs", [0, -3])
+def test_nonpositive_pairs_is_config_error(tmp_path, capsys, pairs):
+    """Zero pairs would make the ordering assertion hold vacuously."""
+    doc = {"scenario": "theorem4-random-pairs", "params": {"pairs": pairs}}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_remark14_report_names_the_function_it_called(tmp_path, monkeypatch):
+    called = []
+
+    def spy(*args, **kw):
+        called.append("asvar_homogeneous")
+        return variance.asvar_homogeneous(*args, **kw)
+
+    monkeypatch.setattr(cli, "asvar_homogeneous", spy)
+    out = str(tmp_path / "o")
+    cfg = write_config(tmp_path, {"scenario": "remark14"})
+    assert cli.main(["run", cfg, "--out-dir", out]) == 0
+    assert called
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    named = [a["detail"].split("(")[0] for a in report["assertions"]
+             if a["detail"].startswith("variance.")]
+    assert len(named) == 2 * len(cli.registry()["remark14"].defaults["epsilons"])
+    assert set(named) == {"variance.asvar_homogeneous"}
+
+
+def test_metadata_tolerances_are_the_module_constants(tmp_path):
+    out = str(tmp_path / "o")
+    cfg = write_config(tmp_path, {"scenario": "remark14"})
+    assert cli.main(["run", cfg, "--out-dir", out]) == 0
+    meta = json.loads(open(os.path.join(out, "metadata.json")).read())
+    assert meta["tolerances"] == {"entry": kernels.ENTRY_TOL,
+                                  "spectral": kernels.SPECTRAL_TOL,
+                                  "ordering": cli.ORDER_TOL}

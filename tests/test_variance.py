@@ -8,17 +8,19 @@ and against brute-force Monte Carlo on a seeded chain.
 import numpy as np
 import pytest
 
-from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
-                              constant_kernel, identity_kernel,
-                              random_reversible_kernel)
+from varorder.kernels import (SPECTRAL_TOL, FiniteKernel, FunctionVector,
+                              ProbVector, StateSpace, constant_kernel,
+                              identity_kernel, random_reversible_kernel)
 from varorder.variance import (AlternatingModel, ReducibleChainError,
                                SummabilityError, VarianceReport,
                                alternating_partial_sum_variance,
-                               asvar_alternating, asvar_homogeneous,
-                               batch_means_variance, empirical_autocov,
-                               truncated_autocov_series)
+                               asvar_alternating, asvar_alternating_stack,
+                               asvar_homogeneous, batch_means_variance,
+                               empirical_autocov, truncated_autocov_series)
 from varorder import toys
-from varorder.exactify import ReducibleKernelError, stationary_distribution
+from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
+                               extract_kernel, random_refresh_kernel,
+                               stationary_distribution)
 
 
 def two_state_chain(eps):
@@ -136,6 +138,113 @@ def test_periodic_pair_raises_summability_error():
     with pytest.raises(SummabilityError) as info:
         asvar_alternating(AlternatingModel(flip, flip, pi, f))
     assert info.value.spectral_radius >= 1.0 - 1e-9
+
+
+def deflated_spectral_radius(M, pi):
+    return float(np.max(np.abs(np.linalg.eigvals(M - pi.weights))))
+
+
+def random_refresh_freeze_pair(rng, ny, nu):
+    """Random refresh and freeze kernels of a dense random augmented model."""
+    rcheck = rng.uniform(0.05, 1.0, (ny, nu))
+    rcheck /= rcheck.sum(axis=1, keepdims=True)
+    raw_w = rng.uniform(0.2, 2.0, (ny, nu))
+    S = rng.uniform(0.05, 1.0, (ny, nu, ny))
+    T = rng.uniform(0.05, 1.0, (ny, nu, ny, nu))
+    pi = rng.uniform(0.2, 1.0, ny)
+    m = FiniteAugmentedModel(
+        Y=StateSpace(range(ny)), U=StateSpace(range(nu)), pi_star=pi / pi.sum(),
+        S=S / S.sum(axis=2, keepdims=True), T=T / T.sum(axis=3, keepdims=True),
+        rcheck=rcheck, w=raw_w / (rcheck * raw_w).sum(axis=1, keepdims=True))
+    return random_refresh_kernel(m), extract_kernel("freeze", m).kernel, m.joint_pi
+
+
+def test_deflated_pq_and_qp_share_spectral_radius():
+    """(P - 1 pi^T)(Q - 1 pi^T) and its reverse product: one spectrum serves both."""
+    rng = np.random.default_rng(41)
+    pairs = []
+    for _ in range(200):
+        P0, P1, Q0, Q1, pi, _ = toys.random_lazy_quadruple(rng, int(rng.integers(2, 13)))
+        pairs += [(P0, Q0, pi), (P1, Q1, pi)]
+    pairs.append(random_refresh_freeze_pair(rng, 16, 16))
+    assert pairs[-1][2].space.size == 256
+    for P, Q, pi in pairs:
+        A, B = P.matrix @ Q.matrix, Q.matrix @ P.matrix
+        rho_pq, rho_qp = deflated_spectral_radius(A, pi), deflated_spectral_radius(B, pi)
+        assert abs(rho_pq - rho_qp) <= SPECTRAL_TOL
+        f = FunctionVector(np.ones(pi.space.size), pi.space)
+        rho = asvar_alternating(AlternatingModel(P, Q, pi, f)).diagnostics["spectral_radius"]
+        assert abs(rho - max(rho_pq, rho_qp)) <= SPECTRAL_TOL
+
+
+def random_pair_arrays(rng, n):
+    P, pi = random_reversible_kernel(rng, n)
+    Q, _ = random_reversible_kernel(rng, n, pi=pi)
+    return P.matrix, Q.matrix, pi.weights, rng.normal(size=n)
+
+
+def test_stacked_engine_matches_per_model_calls():
+    """A (3, 4) stack of unrelated pairs, each with its own pi and f, in one call."""
+    rng = np.random.default_rng(43)
+    members = [random_pair_arrays(rng, 5) for _ in range(12)]
+    P, Q, pi, f = (np.array(column).reshape(3, 4, *column[0].shape)
+                   for column in zip(*members))
+    values, rho = asvar_alternating_stack(P, Q, pi, f)
+    assert values.shape == rho.shape == (3, 4)
+    for k, (Pk, Qk, pik, fk) in enumerate(members):
+        sp = StateSpace(range(5))
+        report = asvar_alternating(AlternatingModel(
+            FiniteKernel(Pk, sp), FiniteKernel(Qk, sp), ProbVector(pik, sp),
+            FunctionVector(fk, sp)))
+        assert values.flat[k] == pytest.approx(report.value, rel=1e-14, abs=0)
+        assert rho.flat[k] == pytest.approx(report.diagnostics["spectral_radius"],
+                                            rel=1e-14, abs=0)
+
+
+def test_stack_containing_the_flip_pair_raises_summability_error():
+    rng = np.random.default_rng(47)
+    P, Q, pi, f = random_pair_arrays(rng, 2)
+    flip = toys.flip_kernel().matrix
+    with pytest.raises(SummabilityError) as info:
+        asvar_alternating_stack(np.stack([P, flip]), np.stack([Q, flip]),
+                                np.stack([pi, [0.5, 0.5]]), np.stack([f, [-1.0, 1.0]]))
+    assert info.value.spectral_radius >= 1.0 - 1e-9
+
+
+def test_stack_member_without_invariant_pi_raises_value_error():
+    rng = np.random.default_rng(53)
+    members = [random_pair_arrays(rng, 4) for _ in range(3)]
+    P, Q, pi, f = (np.array(column) for column in zip(*members))
+    P[1] = np.full((4, 4), 0.25)  # uniform rows leave only the uniform law invariant
+    with pytest.raises(ValueError, match="not invariant"):
+        asvar_alternating_stack(P, Q, pi, f)
+
+
+def quadratic_partial_sum_variance(m, n):
+    """Reference: Var(S_n) summed over all pairs i < j, one propagation each."""
+    fbar = m.f.values - float(np.sum(m.pi.weights * m.f.values))
+    total = n * float(np.sum(m.pi.weights * fbar * fbar))
+    kernels = [m.P.matrix, m.Q.matrix]
+    for i in range(n):
+        w = m.pi.weights * fbar
+        for j in range(i + 1, n):
+            w = w @ kernels[(j - 1) % 2]
+            total += 2.0 * float(w @ fbar)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 41])
+def test_linear_partial_sum_matches_quadratic_reference(n):
+    flip = toys.flip_kernel()
+    m = AlternatingModel(flip, flip, toys.uniform_two_state(), toys.identity_function())
+    assert alternating_partial_sum_variance(m, n) == quadratic_partial_sum_variance(m, n)
+    rng = np.random.default_rng(59)
+    for size in (2, 3, 6):
+        P, pi = random_reversible_kernel(rng, size)
+        Q, _ = random_reversible_kernel(rng, size, pi=pi)
+        m = AlternatingModel(P, Q, pi, FunctionVector(rng.normal(size=size), pi.space))
+        assert alternating_partial_sum_variance(m, n) == pytest.approx(
+            quadratic_partial_sum_variance(m, n), rel=1e-12, abs=0)
 
 
 def test_alternating_model_checks_invariance():
