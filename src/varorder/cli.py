@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,9 +31,9 @@ from .kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel, FunctionVector,
                       identity_kernel, off_diagonal_order_check)
 from .pseudo_marginal import ABCModel, abc_random_refresh_model, gaussian_abc_kernel
 from .samplers import (ChainState, DensityError, MarginalProposal, RngStream,
-                       random_refresh_step, run_chain)
+                       choice_cdf, random_refresh_step, run_chain)
 from .special_cases import GmtmModel, RmcmcModel, gmtm_embedding_model, \
-    gmtm_exact_kernel, gmtm_log_ratio, rmcmc_step
+    gmtm_exact_kernel, gmtm_log_ratio, rmcmc_chain
 from .variance import (AlternatingModel, SummabilityError,
                        alternating_partial_sum_variance, asvar_alternating,
                        asvar_alternating_stack, asvar_homogeneous,
@@ -101,6 +101,14 @@ class ScenarioSpec:
 # shared helpers
 # ---------------------------------------------------------------------------
 
+def _count_param(cfg: ScenarioConfig, name: str, default: int) -> int:
+    """A count parameter; zero items would make its assertion hold vacuously."""
+    count = int(cfg.params.get(name, default))
+    if count < 1:
+        raise ConfigError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def _lift_y_function(f: FunctionVector, m: exactify.FiniteAugmentedModel) -> FunctionVector:
     """Extend a function of y to the joint (y, u) space."""
     vals = np.repeat(f.values, m.U.size)
@@ -157,10 +165,11 @@ def _run_flip(cfg: ScenarioConfig) -> ScenarioResult:
                 method="closed_form", seed=cfg.seed)
         res.check("summability precondition rejected",
                   exc.spectral_radius >= 1.0 - 1e-9, str(exc))
-    horizon = int(cfg.params.get("horizon", 40))
+    horizon = _count_param(cfg, "horizon", 40)
+    variances = alternating_partial_sum_variance(m, horizon, prefixes=True).tolist()
     worst = 0.0
     for n in range(1, horizon + 1):
-        var_n = alternating_partial_sum_variance(m, n)
+        var_n = variances[n]
         res.add("flip-flip", f"partial_sum_variance(n={n})", var_n,
                 seed=cfg.seed)
         worst = max(worst, var_n)
@@ -175,9 +184,7 @@ def _run_flip(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_theorem4_pairs(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    n_pairs = int(cfg.params.get("pairs", 200))
-    if n_pairs < 1:
-        raise ConfigError(f"pairs must be >= 1, got {n_pairs}")
+    n_pairs = _count_param(cfg, "pairs", 200)
     rng = RngStream("theorem4-random-pairs", cfg.seed).generator
     by_size = {}
     for _ in range(n_pairs):
@@ -203,7 +210,7 @@ def _ordering_rows(res: ScenarioResult, m, cfg: ScenarioConfig,
     """Exact per-algorithm variances for random functions of y; returns the
     worst margins of each refreshment flavor against the freeze baseline."""
     rng = RngStream(cfg.scenario, cfg.seed).generator
-    n_f = int(cfg.params.get("functions", 20))
+    n_f = _count_param(cfg, "functions", 20)
     worst = {a: math.inf for a in algorithms if a != "freeze"}
     for k in range(n_f):
         f_y = FunctionVector(rng.normal(size=m.Y.size), m.Y)
@@ -297,7 +304,7 @@ def _run_marginal_mh_peskun(cfg: ScenarioConfig) -> ScenarioResult:
     rng = RngStream(cfg.scenario, cfg.seed).generator
     pi_y = m.pi_star_vector
     min_margin = math.inf
-    for _ in range(int(cfg.params.get("functions", 20))):
+    for _ in range(_count_param(cfg, "functions", 20)):
         f_y = FunctionVector(rng.normal(size=m.Y.size), m.Y)
         v_sys = asvar_homogeneous(sys_y, pi_y, f_y).value
         v_mh = asvar_homogeneous(mh_y, pi_y, f_y).value
@@ -366,28 +373,18 @@ def _run_rmcmc_gaussian(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
     model = gaussian_rmcmc_model(step=float(cfg.params.get("step", 1.0)))
     n = cfg.chain_length
-
-    def one_rep(rep: int) -> list:
-        gen = RngStream("rmcmc", cfg.seed + rep).generator
-        y = 0.0
-        out = np.empty(n)
-        for k in range(n):
-            y = rmcmc_step(model, y, gen)
-            out[k] = y
-        mean, var = float(out.mean()), float(out.var())
+    for rep in range(cfg.replicates):
+        seed = cfg.seed + rep
+        out, accepted = rmcmc_chain(model, 0.0, n, RngStream("rmcmc", seed))
+        mean = float(out.mean())
         se_mean = math.sqrt(batch_means_variance(out).value / n)
-        return [Row("rmcmc", "mean", mean, se_mean, "batch_means",
-                    cfg.seed + rep, rep),
-                Row("rmcmc", "variance", var, float("nan"), "batch_means",
-                    cfg.seed + rep, rep)]
-    with ThreadPoolExecutor(max_workers=cfg.params["threads"]) as ex:
-        per_rep = list(ex.map(one_rep, range(cfg.replicates)))
-    for rows in per_rep:
-        res.rows.extend(rows)
-        mean_row = rows[0]
-        res.check(f"replicate {mean_row.replicate} mean within 4 se of 0",
-                  abs(mean_row.value) <= 4.0 * mean_row.stderr,
-                  f"|{mean_row.value!r}| vs 4 * {mean_row.stderr!r}")
+        res.add("rmcmc", "mean", mean, se_mean, "batch_means", seed, rep)
+        res.add("rmcmc", "variance", float(out.var()), method="sample_moment",
+                seed=seed, replicate=rep)
+        res.add("rmcmc", "accept_rate", accepted / n, method="empirical_frequency",
+                seed=seed, replicate=rep)
+        res.check(f"replicate {rep} mean within 4 se of 0",
+                  abs(mean) <= 4.0 * se_mean, f"|{mean!r}| vs 4 * {se_mean!r}")
     return res
 
 
@@ -395,10 +392,11 @@ def _abc_toy(h: float) -> tuple[ABCModel, Callable, MarginalProposal, ProbVector
     """Discrete ABC model with an exactly computable target."""
     ys = [-1.0, 0.0, 1.0]
     noise = [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]
+    offsets = [nz for nz, _ in noise]
+    cdf = choice_cdf([p for _, p in noise])
     m = ABCModel(obs=0.5, kernel_K=gaussian_abc_kernel, h=h,
                  summary=lambda u: u,
-                 simulator=lambda gen, y: y + [n for n, _ in noise][
-                     gen.choice(3, p=[p for _, p in noise])])
+                 simulator=lambda gen, y: y + offsets[bisect_right(cdf, gen.random())])
     log_prior = lambda y: 0.0
     prop = MarginalProposal(
         sample=lambda gen, y: ys[gen.integers(3)],
@@ -424,10 +422,10 @@ def _run_abc_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
     gap = 0.5 * float(np.abs(freqs - target.weights).sum())
     for y, fr, tg in zip(ys, freqs, target.weights):
         res.add("abc_random_refresh", f"freq(y={y})", float(fr),
-                method="batch_means", seed=cfg.seed)
+                method="empirical_frequency", seed=cfg.seed)
         res.add("abc_random_refresh", f"target(y={y})", float(tg), seed=cfg.seed)
     res.add("abc_random_refresh", "empirical_tv_gap", gap,
-            method="batch_means", seed=cfg.seed)
+            method="empirical_frequency", seed=cfg.seed)
     tol = 5.0 / math.sqrt(max(cfg.chain_length, 1))
     res.check("empirical law matches the exact smoothed posterior",
               gap <= max(tol, 0.02), f"tv gap {gap!r}, Monte Carlo tol {tol!r}")
@@ -442,12 +440,12 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
     V = FunctionVector(1.0 / (pi.weights / pi.weights.max()), pi.space)
     rng = RngStream("ergodicity-certificates", cfg.seed).generator
     f = FunctionVector(rng.normal(size=pi.space.size), pi.space)
+    horizon = _count_param(cfg, "horizon", 50)
     for name, P in (("systematic", exactify.systematic_refresh_kernel(m)),
                     ("random_refresh", exactify.random_refresh_kernel(m))):
         PQ = FiniteKernel(P.matrix @ Q.matrix, pi.space)
         cert = fit_certificate(PQ, pi, V)
-        report = summability_certificate(P, Q, pi, f, V,
-                                         n_horizon=int(cfg.params.get("horizon", 50)))
+        report = summability_certificate(P, Q, pi, f, V, n_horizon=horizon)
         res.add(name, "rho", cert.rho, seed=cfg.seed)
         res.add(name, "C", cert.C, seed=cfg.seed)
         res.add(name, "drift_b", cert.b, seed=cfg.seed)
@@ -559,12 +557,12 @@ def config_from_document(doc: dict, seed_override=None) -> ScenarioConfig:
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
+    """Run one scenario and write its outputs; returns the exit code.
+
+    ``threads`` has no effect: replicates run one after another, since the
+    steppers are Python loops that threads would only serialize.
+    """
     spec = _REGISTRY[cfg.scenario]
-    params = dict(cfg.params)
-    params["threads"] = max(1, threads)
-    cfg = ScenarioConfig(scenario=cfg.scenario, params=params,
-                         chain_length=cfg.chain_length,
-                         replicates=cfg.replicates, seed=cfg.seed)
     started = time.time()
     result = spec.runner(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -616,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out-dir", default=".",
                        help="directory for results.csv / report.json / metadata.json")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="thread budget (VARORDER_THREADS overrides)")
+                       help="accepted and validated but has no effect: replicates "
+                            "run sequentially (VARORDER_THREADS overrides)")
     sub.add_parser("list", help="list registry scenarios")
     desc_p = sub.add_parser("describe", help="describe one scenario")
     desc_p.add_argument("scenario")

@@ -15,7 +15,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .samplers import (AugmentedTargetModel, CheckRefresh, MarginalProposal,
-                       ProposalS, ProposalT, Refresh)
+                       ProposalS, ProposalT, Refresh, _gen)
 
 
 class ZeroWeightError(ValueError):
@@ -53,7 +53,7 @@ class ImportanceModel:
 
 def gimh_estimate(m: ImportanceModel, y, rng) -> tuple[float, tuple]:
     """Draw v_1..v_N ~ q_y and return (importance average, frozen sample)."""
-    gen = rng.generator if hasattr(rng, "generator") else rng
+    gen = _gen(rng)
     vs = tuple(m.q_sample(gen, y) for _ in range(m.N))
     return math.exp(m.log_estimate(y, vs)), vs
 

@@ -13,6 +13,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -47,6 +48,43 @@ class RngStream:
 
 def _gen(rng) -> np.random.Generator:
     return rng.generator if isinstance(rng, RngStream) else rng
+
+
+class BlockDraws:
+    """Block-draw view of a Generator (``BlockDraws(_gen(stream))``).
+
+    Scalar ``standard_normal()`` calls are served from pre-drawn blocks of
+    BLOCK normals, refilled from the wrapped generator when one runs out, so
+    the output still depends only on the seed and the order of calls.  Every
+    other method is the wrapped generator's own.
+    """
+
+    BLOCK = 4096
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._normals = iter(())
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        if size is not None or dtype is not np.float64 or out is not None:
+            return self._gen.standard_normal(size, dtype, out)
+        try:
+            return next(self._normals)
+        except StopIteration:
+            self._normals = iter(self._gen.standard_normal(self.BLOCK).tolist())
+            return next(self._normals)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def choice_cdf(p) -> list:
+    """The CDF that ``Generator.choice(len(p), p=p)`` searches: running sums,
+    left to right, divided by the last one.  ``bisect_right(cdf, gen.random())``
+    then draws the same index as ``gen.choice`` from the same stream position.
+    Plain floats: numpy's per-call overhead dwarfs a few additions."""
+    cdf = list(accumulate(map(float, p)))
+    return [c / cdf[-1] for c in cdf]
 
 
 @dataclass(frozen=True)
@@ -176,7 +214,7 @@ def _freeze_move(m: AugmentedTargetModel, y, u, gen) -> tuple:
     yh = m.S.sample(gen, y, u)
     uh = m.T.sample(gen, y, u, yh)
     alpha = acceptance_ratio_freeze(m, y, u, yh, uh)
-    if gen.uniform() < alpha or alpha >= 1.0:
+    if gen.random() < alpha or alpha >= 1.0:
         return yh, uh, True
     return y, u, False
 
@@ -216,7 +254,7 @@ def random_refresh_step(m: AugmentedTargetModel, state: ChainState, rng) -> Chai
     u_new = m.check_refresh.sample(gen, y)
     log_rho = (m.check_refresh.log_weight(y, u_new)
                - m.check_refresh.log_weight(y, u))
-    refreshed = log_rho >= 0.0 or gen.uniform() < math.exp(log_rho)
+    refreshed = log_rho >= 0.0 or gen.random() < math.exp(log_rho)
     u_check = u_new if refreshed else u
     y2, u2, ok = _freeze_move(m, y, u_check, gen)
     return ChainState(y=y2, u=u2, accepts={"refresh": refreshed, "move": ok})
@@ -244,7 +282,7 @@ def marginal_mh_step(k: MarginalProposal, log_pi_star: Callable[[Any], float],
                  + _checked("k(yhat,y)", k.log_density(yh, y))
                  - _checked("pi_star(y)", log_pi_star(y))
                  - _checked("k(y,yhat)", k.log_density(y, yh)))
-    ok = log_ratio >= 0.0 or gen.uniform() < math.exp(log_ratio)
+    ok = log_ratio >= 0.0 or gen.random() < math.exp(log_ratio)
     return ChainState(y=yh if ok else y, accepts={"move": ok})
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .exactify import FiniteAugmentedModel
 from .kernels import FiniteKernel, StateSpace
-from .samplers import DensityError
+from .samplers import BlockDraws, DensityError, _gen, choice_cdf
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,36 @@ def rmcmc_log_ratio(m: RmcmcModel, y, u, yh) -> float:
 def rmcmc_step(m: RmcmcModel, y, rng) -> Any:
     """One r-MCMC transition: draw yhat ~ rcheck(y,.), u ~ scheck(y,yhat;.),
     accept yhat with the involution-corrected ratio."""
-    gen = rng.generator if hasattr(rng, "generator") else rng
+    gen = _gen(rng)
     yh = m.rcheck_sample(gen, y)
     u = m.scheck_sample(gen, y, yh)
     log_alpha = rmcmc_log_ratio(m, y, u, yh)
-    if log_alpha >= 0.0 or gen.uniform() < math.exp(log_alpha):
+    if log_alpha >= 0.0 or gen.random() < math.exp(log_alpha):
         return yh
     return y
+
+
+def rmcmc_chain(m: RmcmcModel, y0, n: int, rng) -> tuple[np.ndarray, int]:
+    """n r-MCMC transitions from y0; returns the path y_1..y_n and the number
+    of accepted moves.
+
+    The log-uniforms of all n accept tests are drawn first, then the model's
+    samplers draw proposals from a block-draw view of the same generator.  A
+    move is accepted iff log U < rmcmc_log_ratio, which is rmcmc_step's test
+    (log U < 0 always), so the chain has rmcmc_step's law but its own stream.
+    """
+    gen = _gen(rng)
+    log_u = np.log(gen.random(n)).tolist()
+    draws = BlockDraws(gen)
+    y, path, accepted = y0, [], 0
+    for lu in log_u:
+        yh = m.rcheck_sample(draws, y)
+        u = m.scheck_sample(draws, y, yh)
+        if lu < rmcmc_log_ratio(m, y, u, yh):
+            y = yh
+            accepted += 1
+        path.append(y)
+    return np.array(path), accepted
 
 
 # Small registries for scenario configs; the weight families are the usual
@@ -112,21 +136,27 @@ def gmtm_log_ratio(m: GmtmModel, y, vs: Sequence, yh, vhats: Sequence) -> float:
 
 
 def gmtm_select(weights: Sequence[float], gen: np.random.Generator) -> int:
+    """Index j drawn with probability weights[j] / sum(weights); the same
+    index, from the same stream position, as gen.choice with those p."""
     total = float(sum(weights))
     if total <= 0.0:
         raise DensityError("GMTM selection weights", total)
-    return int(gen.choice(len(weights), p=np.asarray(weights) / total))
+    p = [w / total for w in weights]
+    if not all(x >= 0.0 for x in p):
+        raise ValueError(f"selection probabilities must be finite and "
+                         f"non-negative, got {p}")
+    return bisect_right(choice_cdf(p), gen.random())
 
 
 def gmtm_step(m: GmtmModel, y, rng) -> Any:
     """One GMTM transition (Algorithm with n tries and shadow candidates)."""
-    gen = rng.generator if hasattr(rng, "generator") else rng
+    gen = _gen(rng)
     vs = [m.rcheck_sample(gen, y) for _ in range(m.n)]
     j = gmtm_select([m.omega(y, v) for v in vs], gen)
     yh = vs[j]
     vhats = [m.rcheck_sample(gen, yh) for _ in range(m.n - 1)] + [y]
     log_alpha = gmtm_log_ratio(m, y, vs, yh, vhats)
-    if log_alpha >= 0.0 or gen.uniform() < math.exp(log_alpha):
+    if log_alpha >= 0.0 or gen.random() < math.exp(log_alpha):
         return yh
     return y
 

@@ -221,22 +221,33 @@ def truncated_autocov_series(m: AlternatingModel, K: int) -> VarianceReport:
                                        "spectral_radius": rho})
 
 
-def alternating_partial_sum_variance(m: AlternatingModel, n: int) -> float:
-    """Exact Var(sum_{k<n} f(X_k)) for the alternating chain started from pi.
+def alternating_partial_sum_variance(m: AlternatingModel, n: int, *,
+                                     prefixes: bool = False):
+    """Exact Var(S_n), S_n = sum_{k<n} f(X_k), for the alternating chain
+    started from pi; with prefixes=True the array [Var(S_0), ..., Var(S_n)]
+    from the same pass.
 
-    Cov(f(X_i), f(X_j)) depends only on i mod 2 and j - i, so each lag's two
-    covariances are weighted by their pair counts: linear in n.  Covers the
-    flip kernel, which sits outside asvar_alternating's precondition.
+    Cov(f(X_i), f(X_j)) depends only on i mod 2 and j - i, so one pass over
+    the lags gives every covariance; S_{k+1} adds X_k, whose covariances with
+    the earlier terms are those at lag l with start parity (k - l) mod 2.
+    Linear in n.  Covers the flip kernel, which sits outside
+    asvar_alternating's precondition.
     """
     fbar = _centered(m.f, m.pi)
-    total = n * _inner(m.pi, fbar, fbar)
     K = np.stack([m.P.matrix, m.Q.matrix])
     w = np.stack([m.pi.weights * fbar] * 2)  # row p: fbar dpi at a start i = p mod 2
+    cov = np.zeros((n, 2))  # cov[l, p]: Cov(f(X_i), f(X_{i+l})), i = p mod 2
     for lag in range(1, n):
         w = (w[:, None, :] @ K[[(lag - 1) % 2, lag % 2]])[:, 0, :]  # row p: K[(p+lag-1) % 2]
-        pairs = (n - lag + 1 - np.arange(2)) // 2  # starts i < n - lag with i = p mod 2
-        total += 2.0 * float(pairs @ (w @ fbar))
-    return total
+        cov[lag] = w @ fbar
+    k = np.arange(n)
+    odd = k % 2
+    # X_k meets X_{k-l} at lag l; that start's parity is l's for even k
+    same = np.cumsum(cov[k, odd])
+    other = np.cumsum(cov[k, 1 - odd])
+    added = _inner(m.pi, fbar, fbar) + 2.0 * np.where(odd == 0, same, other)
+    variances = np.concatenate([[0.0], np.cumsum(added)])
+    return variances if prefixes else float(variances[n])
 
 
 def batch_means_variance(trace: Sequence[float], batch_count: int = 100) -> VarianceReport:

@@ -155,6 +155,42 @@ def test_nonpositive_pairs_is_config_error(tmp_path, capsys, pairs):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+@pytest.mark.parametrize("scenario, param, value", [
+    ("freeze-vs-refresh", "functions", 0), ("random-refresh", "functions", 0),
+    ("marginal-mh-peskun", "functions", 0), ("flip-counterexample", "horizon", 0),
+    ("ergodicity-certificates", "horizon", -1)])
+def test_nonpositive_count_params_are_config_errors(tmp_path, capsys, scenario,
+                                                    param, value):
+    """Each would leave an assertion with nothing to check (margin or slack inf)."""
+    doc = {"scenario": scenario, "params": {param: value}}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    assert f"{param} must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_simulation_rows_are_labeled_by_how_they_were_made(tmp_path):
+    """rmcmc writes one accept_rate row per replicate; no row claims batch
+    means unless batch means made its standard error."""
+    for doc in ({"scenario": "rmcmc-gaussian", "chain_length": 2000, "replicates": 3},
+                {"scenario": "abc-random-refresh", "chain_length": 500}):
+        out = str(tmp_path / doc["scenario"])
+        assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out,
+                         "--threads", "2"]) == 0
+        with open(os.path.join(out, "results.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        for r in rows:
+            made_by_batch_means = r["metric"] == "mean" and r["stderr"] != "nan"
+            assert (r["method"] == "batch_means") == made_by_batch_means, r
+        meta = json.loads(open(os.path.join(out, "metadata.json")).read())
+        assert "threads" not in meta["params"]
+    with open(os.path.join(tmp_path / "rmcmc-gaussian", "results.csv")) as fh:
+        rates = {r["replicate"]: float(r["value"]) for r in csv.DictReader(fh)
+                 if r["metric"] == "accept_rate"}
+    assert set(rates) == {"0", "1", "2"}
+    assert all(0.0 < rate < 1.0 for rate in rates.values())
+
+
 def test_remark14_report_names_the_function_it_called(tmp_path, monkeypatch):
     called = []
 

@@ -3,15 +3,16 @@ the bookkeeping around traces."""
 
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from varorder import exactify, toys
-from varorder.samplers import (AugmentedTargetModel, ChainState, CheckRefresh,
-                               DensityError, MarginalProposal, ProposalS,
-                               ProposalT, Refresh, RngStream,
-                               acceptance_ratio_freeze, freeze_step,
+from varorder.samplers import (AugmentedTargetModel, BlockDraws, ChainState,
+                               CheckRefresh, DensityError, MarginalProposal,
+                               ProposalS, ProposalT, Refresh, RngStream,
+                               acceptance_ratio_freeze, choice_cdf, freeze_step,
                                log_ratio_freeze, marginal_mh_step, noisy_step,
                                random_refresh_step, run_chain,
                                systematic_refresh_step)
@@ -65,6 +66,37 @@ def test_replicate_advances_stream():
     assert r.replicate(3).stream == 3
     with pytest.raises(ValueError):
         RngStream("freeze", seed=9, stream=-1)
+
+
+def test_block_view_serves_normals_from_blocks_and_passes_the_rest_through():
+    view = BlockDraws(RngStream("block", seed=6).generator)
+    ref = RngStream("block", seed=6).generator
+    draws = [view.standard_normal() for _ in range(BlockDraws.BLOCK + 5)]
+    want = np.concatenate([ref.standard_normal(BlockDraws.BLOCK),
+                           ref.standard_normal(BlockDraws.BLOCK)[:5]])
+    assert all(isinstance(z, float) for z in draws)
+    assert np.array_equal(draws, want)
+    # sized normals and every other method are the wrapped generator's own
+    assert np.array_equal(view.standard_normal(3), ref.standard_normal(3))
+    assert view.random() == ref.random()
+    assert view.choice(4, p=[0.1, 0.2, 0.3, 0.4]) == ref.choice(4, p=[0.1, 0.2, 0.3, 0.4])
+
+
+def test_random_and_cdf_bisection_replay_uniform_and_choice():
+    """The accept tests' gen.random() and the discrete draws' CDF bisection
+    consume the stream exactly as gen.uniform() and gen.choice(k, p=p) do."""
+    ours, ref = np.random.default_rng(71), np.random.default_rng(71)
+    assert [ours.random() for _ in range(10_000)] == [ref.uniform() for _ in range(10_000)]
+    shapes = np.random.default_rng(72)
+    for _ in range(300):
+        k = int(shapes.integers(1, 9))
+        w = shapes.uniform(0.0, 1.0, k) * (shapes.random(k) < 0.8)
+        if w.sum() == 0.0:
+            w[-1] = 1.0
+        p = w / w.sum()
+        cdf = choice_cdf(p)
+        for _ in range(20):
+            assert bisect_right(cdf, ours.random()) == ref.choice(k, p=p)
 
 
 # ---- acceptance ratio vs exact table ----

@@ -13,8 +13,9 @@ from varorder.samplers import DensityError, RngStream
 from varorder.special_cases import (INVOLUTIONS, GmtmModel, gmtm_embedding_model,
                                     gmtm_exact_kernel, gmtm_log_ratio,
                                     gmtm_rst_decomposition, gmtm_select,
-                                    gmtm_step, gmtm_weight, rmcmc_log_ratio,
-                                    rmcmc_step)
+                                    gmtm_step, gmtm_weight, rmcmc_chain,
+                                    rmcmc_log_ratio, rmcmc_step)
+from varorder.variance import batch_means_variance
 
 
 # ---- r-MCMC ----
@@ -72,6 +73,45 @@ def test_rmcmc_gaussian_short_run_moments():
     assert out.var() == pytest.approx(1.0, abs=0.05)
 
 
+def test_rmcmc_chain_has_the_gaussian_law():
+    """In law against the exact target: mean 0, variance 1, and the random-walk
+    acceptance rate (2/pi) arctan(2/step) of a standard Gaussian, each within
+    4 batch-means standard errors over 2e5 steps."""
+    m = gaussian_rmcmc_model(step=1.0)
+    n = 200_000
+    path, accepted = rmcmc_chain(m, 0.0, n, RngStream("rmcmc-chain-law", seed=1))
+    assert path.shape == (n,)
+    moved = np.diff(path, prepend=0.0) != 0.0  # a continuous proposal moves a.s.
+    assert accepted == int(moved.sum())
+    for series, exact in ((path, 0.0), ((path - path.mean()) ** 2, 1.0),
+                          (moved.astype(float), 2.0 / math.pi * math.atan(2.0))):
+        se = math.sqrt(batch_means_variance(series, batch_count=200).value / n)
+        assert abs(float(series.mean()) - exact) <= 4.0 * se
+
+
+def test_rmcmc_chain_replays_for_a_fixed_seed():
+    m = gaussian_rmcmc_model(step=0.7)
+    first = rmcmc_chain(m, 0.5, 5000, RngStream("rmcmc", seed=8))
+    again = rmcmc_chain(m, 0.5, 5000, RngStream("rmcmc", seed=8).generator)
+    other = rmcmc_chain(m, 0.5, 5000, RngStream("rmcmc", seed=9))
+    assert np.array_equal(first[0], again[0]) and first[1] == again[1]
+    assert not np.array_equal(first[0], other[0])
+
+
+def test_rmcmc_chain_runs_samplers_that_use_other_generator_methods():
+    """Only scalar normals come from blocks; a sampler calling gen.choice
+    draws from the wrapped generator.  +-|z| has the law of z."""
+    m = gaussian_rmcmc_model()
+    signed = m.__class__(**{**m.__dict__, "rcheck_sample": lambda gen, y: (
+        y + gen.choice([-1.0, 1.0]) * abs(gen.standard_normal()))})
+    path, accepted = rmcmc_chain(signed, 0.0, 20_000, RngStream("rmcmc", seed=2))
+    again, _ = rmcmc_chain(signed, 0.0, 20_000, RngStream("rmcmc", seed=2))
+    assert np.array_equal(path, again)
+    assert 0 < accepted < 20_000
+    assert path.mean() == pytest.approx(0.0, abs=0.1)
+    assert path.var() == pytest.approx(1.0, abs=0.1)
+
+
 # ---- GMTM ----
 
 def test_single_try_reduces_to_mh():
@@ -96,6 +136,22 @@ def test_gmtm_select_is_weight_proportional():
     assert np.mean(picks) == pytest.approx(0.75, abs=0.03)
     with pytest.raises(DensityError):
         gmtm_select([0.0, 0.0], gen)
+
+
+@pytest.mark.parametrize("weights", [[1.0, -0.5], [1.0, math.inf], [math.nan, 1.0]])
+def test_gmtm_select_rejects_negative_and_non_finite_weights(weights):
+    with pytest.raises(ValueError) as info:
+        gmtm_select(weights, np.random.default_rng(0))
+    assert not isinstance(info.value, DensityError)
+
+
+def test_gmtm_select_replays_gen_choice():
+    ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+    shapes = np.random.default_rng(6)
+    for _ in range(2000):
+        w = list(shapes.uniform(0.0, 2.0, int(shapes.integers(1, 6))))
+        total = float(sum(w))
+        assert gmtm_select(w, ours) == ref.choice(len(w), p=np.asarray(w) / total)
 
 
 def test_weight_families():

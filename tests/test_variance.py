@@ -247,6 +247,23 @@ def test_linear_partial_sum_matches_quadratic_reference(n):
             quadratic_partial_sum_variance(m, n), rel=1e-12, abs=0)
 
 
+def test_partial_sum_prefixes_match_the_quadratic_reference():
+    flip = toys.flip_kernel()
+    m = AlternatingModel(flip, flip, toys.uniform_two_state(), toys.identity_function())
+    prefixes = alternating_partial_sum_variance(m, 41, prefixes=True)
+    assert prefixes.tolist() == [quadratic_partial_sum_variance(m, n) for n in range(42)]
+    rng = np.random.default_rng(61)
+    P, pi = random_reversible_kernel(rng, 5)
+    Q, _ = random_reversible_kernel(rng, 5, pi=pi)
+    m = AlternatingModel(P, Q, pi, FunctionVector(rng.normal(size=5), pi.space))
+    prefixes = alternating_partial_sum_variance(m, 41, prefixes=True)
+    assert prefixes[0] == 0.0
+    for n in range(1, 42):
+        assert prefixes[n] == pytest.approx(quadratic_partial_sum_variance(m, n),
+                                            rel=1e-12, abs=0)
+        assert prefixes[n] == alternating_partial_sum_variance(m, n)
+
+
 def test_alternating_model_checks_invariance():
     pi = ProbVector([0.3, 0.7])
     P = FiniteKernel([[0.5, 0.5], [0.5, 0.5]])
