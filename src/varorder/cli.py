@@ -18,22 +18,20 @@ import math
 import os
 import sys
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import exactify, toys
-from .ergodicity import fit_certificate, summability_certificate
+from .ergodicity import summability_certificate
 from .kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel, FunctionVector,
-                      ProbVector, compose, constant_kernel, detailed_balance_check,
+                      compose, constant_kernel, detailed_balance_check,
                       identity_kernel, off_diagonal_order_check)
-from .pseudo_marginal import ABCModel, abc_random_refresh_model, gaussian_abc_kernel
-from .samplers import (ChainState, DensityError, MarginalProposal, RngStream,
-                       choice_cdf, random_refresh_step, run_chain)
-from .special_cases import GmtmModel, RmcmcModel, gmtm_embedding_model, \
-    gmtm_exact_kernel, gmtm_log_ratio, rmcmc_chain
+from .pseudo_marginal import abc_random_refresh_model
+from .samplers import ChainState, DensityError, RngStream, random_refresh_step, run_chain
+from .special_cases import (gmtm_embedding_model, gmtm_exact_kernel, gmtm_log_ratio,
+                            rmcmc_chain)
 from .variance import (AlternatingModel, SummabilityError,
                        alternating_partial_sum_variance, asvar_alternating,
                        asvar_alternating_stack, asvar_homogeneous,
@@ -101,9 +99,20 @@ class ScenarioSpec:
 # shared helpers
 # ---------------------------------------------------------------------------
 
+def _integer(name: str, value) -> int:
+    """value as an int; anything but an integral number is a config error."""
+    try:
+        whole = int(value)
+        if whole == value and not isinstance(value, bool):
+            return whole
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _count_param(cfg: ScenarioConfig, name: str, default: int) -> int:
     """A count parameter; zero items would make its assertion hold vacuously."""
-    count = int(cfg.params.get(name, default))
+    count = _integer(name, cfg.params.get(name, default))
     if count < 1:
         raise ConfigError(f"{name} must be >= 1, got {count}")
     return count
@@ -113,6 +122,12 @@ def _lift_y_function(f: FunctionVector, m: exactify.FiniteAugmentedModel) -> Fun
     """Extend a function of y to the joint (y, u) space."""
     vals = np.repeat(f.values, m.U.size)
     return FunctionVector(vals, m.joint_space)
+
+
+def _stationary_y_tv_gap(K: FiniteKernel, m: exactify.FiniteAugmentedModel) -> float:
+    """Total variation between the y-marginal of K's stationary law and pi_star."""
+    pi_hat = exactify.stationary_distribution(K)
+    return exactify.total_variation(exactify.y_marginal_of(pi_hat, m), m.pi_star_vector)
 
 
 def _joint_asvar(m, algorithm: str, f_y: FunctionVector) -> float:
@@ -251,9 +266,7 @@ def _run_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
               joint_cert.holds,
               f"detailed_balance_check at {EXACT_TOL}; witness "
               f"{joint_cert.witness!r}")
-    pi_hat = exactify.stationary_distribution(ext.kernel)
-    gap = exactify.total_variation(exactify.y_marginal_of(pi_hat, m),
-                                   m.pi_star_vector)
+    gap = _stationary_y_tv_gap(ext.kernel, m)
     res.add("random_refresh", "stationary_y_tv_gap", gap, seed=cfg.seed)
     res.check("stationary y-marginal equals the target", gap <= EXACT_TOL,
               f"stationary_distribution + total_variation = {gap!r}")
@@ -269,10 +282,7 @@ def _run_gimh_exactness(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
     m, _ = toys.finite_gimh_toy()
     for algorithm in ("freeze", "random_refresh"):
-        ext = exactify.extract_kernel(algorithm, m)
-        pi_hat = exactify.stationary_distribution(ext.kernel)
-        gap = exactify.total_variation(exactify.y_marginal_of(pi_hat, m),
-                                       m.pi_star_vector)
+        gap = _stationary_y_tv_gap(exactify.extract_kernel(algorithm, m).kernel, m)
         res.add(algorithm, "stationary_y_tv_gap", gap, seed=cfg.seed)
         res.check(f"{algorithm} y-marginal is exactly the target",
                   gap <= EXACT_TOL, f"tv gap {gap!r}, tol {EXACT_TOL}")
@@ -282,10 +292,7 @@ def _run_gimh_exactness(cfg: ScenarioConfig) -> ScenarioResult:
 def _run_mcwm_bias(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
     m = toys.registry_toy()
-    ext = exactify.extract_kernel("noisy", m)
-    pi_hat = exactify.stationary_distribution(ext.kernel)
-    gap = exactify.total_variation(exactify.y_marginal_of(pi_hat, m),
-                                   m.pi_star_vector)
+    gap = _stationary_y_tv_gap(exactify.extract_kernel("noisy", m).kernel, m)
     res.add("noisy", "stationary_y_tv_gap", gap, seed=cfg.seed)
     res.check("unconditional refreshment is biased on this model", gap > 1e-6,
               f"stationary y-marginal tv gap {gap!r}")
@@ -315,24 +322,9 @@ def _run_marginal_mh_peskun(cfg: ScenarioConfig) -> ScenarioResult:
     return res
 
 
-def _gmtm_toy(n: int) -> GmtmModel:
-    support = ("a", "b", "c")
-    pi_tab = {"a": 0.5, "b": 0.3, "c": 0.2}
-    rk = {"a": {"a": 0.2, "b": 0.5, "c": 0.3},
-          "b": {"a": 0.4, "b": 0.2, "c": 0.4},
-          "c": {"a": 0.3, "b": 0.6, "c": 0.1}}
-    return GmtmModel(
-        log_pi_star=lambda y: math.log(pi_tab[y]),
-        rcheck_sample=lambda gen, y: support[
-            gen.choice(3, p=[rk[y][v] for v in support])],
-        log_rcheck=lambda y, v: math.log(rk[y][v]),
-        omega=lambda y, v: pi_tab[v] + 0.1 * (y == v),
-        n=n, support=support)
-
-
 def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    m1 = _gmtm_toy(1)
+    m1 = toys.gmtm_toy(1)
     worst = 0.0
     for y in m1.support:
         for yh in m1.support:
@@ -343,7 +335,7 @@ def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
     res.add("gmtm", "n1_vs_mh_max_gap", worst, seed=cfg.seed)
     res.check("single-try acceptance collapses to standard MH",
               worst <= EXACT_TOL, f"max log-ratio gap {worst!r}")
-    mn = _gmtm_toy(int(cfg.params.get("tries", 2)))
+    mn = toys.gmtm_toy(_integer("tries", cfg.params.get("tries", 2)))
     direct = gmtm_exact_kernel(mn)
     pi_tab = {y: math.exp(mn.log_pi_star(y)) for y in mn.support}
     emb_model = gmtm_embedding_model(mn, pi_tab)
@@ -356,22 +348,9 @@ def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
     return res
 
 
-def gaussian_rmcmc_model(step: float = 1.0) -> RmcmcModel:
-    """Random-walk sampler for N(0, 1) written in involution form."""
-    c = -0.5 * math.log(2.0 * math.pi)
-    return RmcmcModel(
-        log_pi_star=lambda y: -0.5 * y * y,
-        rcheck_sample=lambda gen, y: y + step * gen.standard_normal(),
-        log_rcheck=lambda y, yh: c - 0.5 * ((yh - y) / step) ** 2 - math.log(step),
-        scheck_sample=lambda gen, y, yh: gen.standard_normal(),
-        log_scheck=lambda y, yh, u: c - 0.5 * u * u,
-        involution=lambda u: -u,
-        log_jacobian=lambda u: 0.0)
-
-
 def _run_rmcmc_gaussian(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    model = gaussian_rmcmc_model(step=float(cfg.params.get("step", 1.0)))
+    model = toys.gaussian_rmcmc_model(step=float(cfg.params.get("step", 1.0)))
     n = cfg.chain_length
     for rep in range(cfg.replicates):
         seed = cfg.seed + rep
@@ -388,28 +367,9 @@ def _run_rmcmc_gaussian(cfg: ScenarioConfig) -> ScenarioResult:
     return res
 
 
-def _abc_toy(h: float) -> tuple[ABCModel, Callable, MarginalProposal, ProbVector]:
-    """Discrete ABC model with an exactly computable target."""
-    ys = [-1.0, 0.0, 1.0]
-    noise = [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]
-    offsets = [nz for nz, _ in noise]
-    cdf = choice_cdf([p for _, p in noise])
-    m = ABCModel(obs=0.5, kernel_K=gaussian_abc_kernel, h=h,
-                 summary=lambda u: u,
-                 simulator=lambda gen, y: y + offsets[bisect_right(cdf, gen.random())])
-    log_prior = lambda y: 0.0
-    prop = MarginalProposal(
-        sample=lambda gen, y: ys[gen.integers(3)],
-        log_density=lambda y, yh: -math.log(3.0))
-    weights = np.array([sum(p * m.weight_value(y + nz) for nz, p in noise)
-                        for y in ys])
-    target = ProbVector(weights / weights.sum(), toys.StateSpace(ys))
-    return m, log_prior, prop, target
-
-
 def _run_abc_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    abc, log_prior, prop, target = _abc_toy(float(cfg.params.get("h", 1.0)))
+    abc, log_prior, prop, target = toys.abc_toy(float(cfg.params.get("h", 1.0)))
     model = abc_random_refresh_model(abc, log_prior, prop)
     rng = RngStream("abc-random-refresh", cfg.seed)
     gen = rng.generator
@@ -443,9 +403,8 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
     horizon = _count_param(cfg, "horizon", 50)
     for name, P in (("systematic", exactify.systematic_refresh_kernel(m)),
                     ("random_refresh", exactify.random_refresh_kernel(m))):
-        PQ = FiniteKernel(P.matrix @ Q.matrix, pi.space)
-        cert = fit_certificate(PQ, pi, V)
         report = summability_certificate(P, Q, pi, f, V, n_horizon=horizon)
+        cert = report.certificate
         res.add(name, "rho", cert.rho, seed=cfg.seed)
         res.add(name, "C", cert.C, seed=cfg.seed)
         res.add(name, "drift_b", cert.b, seed=cfg.seed)
@@ -460,69 +419,69 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
 # registry / plumbing
 # ---------------------------------------------------------------------------
 
-_REGISTRY = {
-    "remark14": ScenarioSpec(
+_REGISTRY = {spec.name: spec for spec in (
+    ScenarioSpec(
         "remark14",
         "Exact asymptotic variances of the two-state counterexample product "
         "chains: holding the chain beats full randomization despite the "
         "covariance ordering.",
         _run_remark14, {"epsilons": [0.1, 0.5, 0.9]}),
-    "flip-counterexample": ScenarioSpec(
+    ScenarioSpec(
         "flip-counterexample",
         "Periodic flip companion: the summability precondition fails while the "
         "partial-sum variance still vanishes.",
         _run_flip, {"horizon": 40}),
-    "theorem4-random-pairs": ScenarioSpec(
+    ScenarioSpec(
         "theorem4-random-pairs",
         "Random covariance-ordered kernel quadruples: the dominating pair never "
         "has larger exact alternating variance.",
         _run_theorem4_pairs, {"pairs": 200}),
-    "freeze-vs-refresh": ScenarioSpec(
+    ScenarioSpec(
         "freeze-vs-refresh",
         "Registry toy: systematic and random refreshment never beat freezing "
         "in asymptotic variance, exactly.",
         _run_freeze_vs_refresh, {"functions": 20}),
-    "random-refresh": ScenarioSpec(
+    ScenarioSpec(
         "random-refresh",
         "Random refreshment is reversible for the augmented target, exact for "
         "the marginal, and at most as variable as freezing.",
         _run_random_refresh, {"functions": 20}),
-    "gimh-exactness": ScenarioSpec(
+    ScenarioSpec(
         "gimh-exactness",
         "Finite importance-sampling toy: the frozen-sample chain targets the "
         "marginal exactly.",
         _run_gimh_exactness, {}),
-    "mcwm-bias": ScenarioSpec(
+    ScenarioSpec(
         "mcwm-bias",
         "Unconditional reweighted refreshment is biased: positive stationary "
         "total-variation gap on the registry toy.",
         _run_mcwm_bias, {}),
-    "marginal-mh-peskun": ScenarioSpec(
+    ScenarioSpec(
         "marginal-mh-peskun",
         "Marginal MH with the integrated proposal dominates systematic "
         "refreshment off-diagonal and in asymptotic variance.",
         _run_marginal_mh_peskun, {"functions": 20}),
-    "gmtm-equivalence": ScenarioSpec(
+    ScenarioSpec(
         "gmtm-equivalence",
         "Multiple-try Metropolis equals its systematic-refreshment embedding "
         "entrywise; one try collapses to standard MH.",
         _run_gmtm_equivalence, {"tries": 2}),
-    "rmcmc-gaussian": ScenarioSpec(
+    ScenarioSpec(
         "rmcmc-gaussian",
         "Involution-form random-walk sampler on a standard Gaussian: moment "
         "recovery with batch-means error bars.",
         _run_rmcmc_gaussian, {"step": 1.0}),
-    "abc-random-refresh": ScenarioSpec(
+    ScenarioSpec(
         "abc-random-refresh",
         "Discrete ABC toy run with random refreshment; empirical law checked "
         "against the exactly computed smoothed posterior.",
         _run_abc_random_refresh, {"h": 1.0}),
-    "ergodicity-certificates": ScenarioSpec(
+    ScenarioSpec(
         "ergodicity-certificates",
         "Drift and geometric-decay certificates plus covariance bounds for the "
         "registry toy's refreshment chains.",
         _run_ergodicity, {"horizon": 50}),
-}
+)}
 
 DEFAULT_CHAIN_LENGTH = {"rmcmc-gaussian": 100_000, "abc-random-refresh": 100_000}
 
@@ -541,19 +500,23 @@ def load_config(path: str, seed_override=None) -> ScenarioConfig:
 
 
 def config_from_document(doc: dict, seed_override=None) -> ScenarioConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
     name = doc.get("scenario")
-    if name not in _REGISTRY:
+    if not isinstance(name, str) or name not in _REGISTRY:
         raise ConfigError(f"unknown scenario {name!r}; known scenarios: "
                           f"{', '.join(sorted(_REGISTRY))}")
-    params = dict(_REGISTRY[name].defaults)
-    params.update(doc.get("params", {}))
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a JSON object, got {params!r}")
+    params = {**_REGISTRY[name].defaults, **params}
+    seed = doc.get("seed", 0) if seed_override is None else seed_override
     return ScenarioConfig(
         scenario=name, params=params,
-        chain_length=int(doc.get("chain_length",
-                                 DEFAULT_CHAIN_LENGTH.get(name, 0))),
-        replicates=int(doc.get("replicates", 1)),
-        seed=seed)
+        chain_length=_integer("chain_length", doc.get("chain_length",
+                                                      DEFAULT_CHAIN_LENGTH.get(name, 0))),
+        replicates=_integer("replicates", doc.get("replicates", 1)),
+        seed=_integer("seed", seed))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
@@ -574,9 +537,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
             writer.writerow([cfg.scenario, r.algorithm, r.metric,
                              repr(r.value), repr(r.stderr), r.method,
                              r.seed, r.replicate])
-    failed = [a for a in result.assertions if not a["holds"]]
+    # a run that checked nothing has shown nothing: it fails like a broken assertion
+    all_hold = bool(result.assertions) and all(a["holds"] for a in result.assertions)
     report = {"scenario": cfg.scenario, "assertions": result.assertions,
-              "all_hold": not failed, **result.report}
+              "all_hold": all_hold, **result.report}
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
     meta = {"scenario": cfg.scenario, "seed": cfg.seed,
@@ -588,7 +552,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
             "elapsed_seconds": time.time() - started}
     with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
-    return 3 if failed else 0
+    return 0 if all_hold else 3
 
 
 def _thread_budget(flag_value) -> int:

@@ -189,8 +189,7 @@ def extract_kernel(algorithm: str, m: FiniteAugmentedModel) -> ExtractedKernel:
     return ExtractedKernel(kernel=K, algorithm=algorithm)
 
 
-def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel,
-                    refresh: str = "r") -> FiniteKernel:
+def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel) -> FiniteKernel:
     """Y-marginal kernel K_Y(y, yhat) = sum_u p(u|y) sum_uhat K(y,u; yhat,uhat).
 
     Valid only when the algorithm's y-process is Markov (systematic
@@ -199,12 +198,9 @@ def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel,
     """
     if K.kernel.space.size == m.Y.size:
         return K.kernel  # already marginal
-    probs = m.r if refresh == "r" else m.rcheck
-    if probs is None:
-        raise ValueError(f"model has no {refresh!r} refresh table")
     ny, nu = m.Y.size, m.U.size
     J = K.kernel.matrix.reshape(ny, nu, ny, nu)
-    KY = np.einsum("yu,yuzv->yz", probs, J)
+    KY = np.einsum("yu,yuzv->yz", m.r, J)
     return FiniteKernel(KY / KY.sum(axis=1, keepdims=True), m.Y)
 
 

@@ -9,7 +9,6 @@ inner products.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -125,10 +124,6 @@ class FiniteKernel:
     @property
     def size(self) -> int:
         return self.space.size
-
-
-def kernel(matrix, space_: Optional[StateSpace] = None) -> FiniteKernel:
-    return FiniteKernel(matrix, space_)
 
 
 def identity_kernel(sp: StateSpace) -> FiniteKernel:
@@ -260,31 +255,3 @@ def random_reversible_kernel(rng: np.random.Generator, n: int,
     P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
     return FiniteKernel(P, pi.space), pi
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization: {"labels": [...], "pi": [...], "matrix": [[...], ...]}
-# ---------------------------------------------------------------------------
-
-def kernel_to_document(P: FiniteKernel, pi: ProbVector, **extra) -> dict:
-    doc = {
-        "labels": list(P.space.labels),
-        "pi": pi.weights.tolist(),
-        "matrix": P.matrix.tolist(),
-    }
-    doc.update(extra)
-    return doc
-
-
-def kernel_from_document(doc: dict) -> tuple[FiniteKernel, ProbVector]:
-    sp = StateSpace(doc["labels"])
-    pi = ProbVector(doc["pi"], sp)
-    P = FiniteKernel(doc["matrix"], sp)
-    return P, pi
-
-
-def kernel_to_json(P: FiniteKernel, pi: ProbVector, **extra) -> str:
-    return json.dumps(kernel_to_document(P, pi, **extra))
-
-
-def kernel_from_json(text: str) -> tuple[FiniteKernel, ProbVector]:
-    return kernel_from_document(json.loads(text))

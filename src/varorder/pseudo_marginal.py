@@ -120,12 +120,6 @@ def gaussian_abc_kernel(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def uniform_abc_kernel(x: float) -> float:
-    return 0.5 if abs(x) <= 1.0 else 0.0
-
-ABC_KERNELS = {"gaussian": gaussian_abc_kernel, "uniform": uniform_abc_kernel}
-
-
 @dataclass(frozen=True)
 class ABCModel:
     """ABC discrepancy model: kernel K, bandwidth h, observed summary obs,
@@ -147,14 +141,6 @@ class ABCModel:
         if val < 0:
             raise ValueError("ABC kernel returned a negative value")
         return val
-
-
-def abc_weight_ratio(m: ABCModel, y, u, u2) -> float:
-    """w_{u2}(y) / w_u(y); the unknown per-y normalizer cancels."""
-    denom = m.weight_value(u)
-    if denom == 0.0:
-        raise ZeroWeightError("current state has zero ABC weight")
-    return m.weight_value(u2) / denom
 
 
 def abc_random_refresh_model(m: ABCModel, log_prior: Callable[[Any], float],
@@ -184,15 +170,3 @@ def abc_random_refresh_model(m: ABCModel, log_prior: Callable[[Any], float],
                     log_density=lambda y, u, yh, uh: 0.0),
     )
 
-
-def abc_model_from_config(doc: dict, summary: Callable[[Any], float],
-                          simulator: Callable[[np.random.Generator, Any], Any]) -> ABCModel:
-    """Build an ABCModel from the JSON scenario config
-    {"kernel": "gaussian"|"uniform", "h": ..., "obs": ...}."""
-    try:
-        kern = ABC_KERNELS[doc["kernel"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown ABC kernel {doc.get('kernel')!r}; "
-                         f"expected one of {sorted(ABC_KERNELS)}") from exc
-    return ABCModel(obs=float(doc["obs"]), kernel_K=kern, h=float(doc["h"]),
-                    summary=summary, simulator=simulator)

@@ -8,8 +8,6 @@ so that run_chain can aggregate them.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -41,9 +39,6 @@ class RngStream:
         tag = zlib.crc32(self.algorithm.encode())
         seq = np.random.SeedSequence(entropy=(self.seed, self.stream, tag))
         self.generator = np.random.Generator(np.random.PCG64(seq))
-
-    def replicate(self, index: int) -> "RngStream":
-        return RngStream(self.algorithm, self.seed, self.stream + index)
 
 
 def _gen(rng) -> np.random.Generator:
@@ -149,15 +144,12 @@ class AugmentedTargetModel:
 class ChainState:
     y: Any
     u: Any = None
-    cache: dict = field(default_factory=dict)
     accepts: dict = field(default_factory=dict)  # last-step outcome per step kind
 
 
 @dataclass
 class ChainTrace:
     states: list
-    seed: Optional[int]
-    algorithm: str
     accept_counts: dict  # step kind -> (accepted, proposed)
 
     def __len__(self) -> int:
@@ -165,24 +157,6 @@ class ChainTrace:
 
     def values(self, f: Callable[[Any], float]) -> np.ndarray:
         return np.array([f(s) for s in self.states], dtype=float)
-
-    def metadata(self) -> dict:
-        return {"algorithm": self.algorithm, "seed": self.seed,
-                "rng": "numpy-pcg64", "length": len(self.states),
-                "accept_counts": {k: list(v) for k, v in self.accept_counts.items()}}
-
-    def to_csv(self, path, project: Callable[[Any], list] = None):
-        project = project or (lambda y: [y])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            ncols = len(project(self.states[0]))
-            writer.writerow(["step"] + [f"y{i}" for i in range(ncols)])
-            for k, s in enumerate(self.states):
-                writer.writerow([k] + list(project(s)))
-
-    def write_metadata(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2)
 
 
 def _checked(name: str, value: float) -> float:
@@ -299,6 +273,4 @@ def run_chain(stepper, m, initial: ChainState, n: int, rng) -> ChainTrace:
             acc, tot = counts.get(kind, (0, 0))
             counts[kind] = (acc + int(ok), tot + 1)
         states.append(state)
-    seed = rng.seed if isinstance(rng, RngStream) else None
-    algo = rng.algorithm if isinstance(rng, RngStream) else getattr(stepper, "__name__", "chain")
-    return ChainTrace(states=states, seed=seed, algorithm=algo, accept_counts=counts)
+    return ChainTrace(states=states, accept_counts=counts)

@@ -87,25 +87,6 @@ def rmcmc_chain(m: RmcmcModel, y0, n: int, rng) -> tuple[np.ndarray, int]:
     return np.array(path), accepted
 
 
-# Small registries for scenario configs; the weight families are the usual
-# multiple-try choices, the involutions are measure-preserving on R.
-
-INVOLUTIONS = {
-    "negate": (lambda u: -u, lambda u: 0.0),
-    "reflect-about-c": lambda c: (lambda u: 2.0 * c - u, lambda u: 0.0),
-}
-
-
-def gmtm_weight(name: str, *, log_rcheck=None, log_pi_star=None):
-    """Named weight families: proportional to the proposal density or to the
-    target density at the candidate."""
-    if name == "proposal":
-        return lambda y, v: math.exp(log_rcheck(y, v))
-    if name == "target":
-        return lambda y, v: math.exp(log_pi_star(v))
-    raise ValueError(f"unknown weight family {name!r}")
-
-
 @dataclass(frozen=True)
 class GmtmModel:
     """Generalized multiple-try Metropolis: n candidates from rcheck, weight

@@ -1,15 +1,21 @@
-"""Shared finite toy models: the two-state counterexample kernels, the
-registry augmented model, and the finite GIMH/MCWM toy."""
+"""Shared toy models: the two-state counterexample kernels, the registry
+augmented model, the finite GIMH/MCWM toy, and the multiple-try, r-MCMC and
+ABC toys of the simulation scenarios."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
+from typing import Callable
 
 import numpy as np
 
 from .exactify import FiniteAugmentedModel
 from .kernels import FiniteKernel, FunctionVector, ProbVector, StateSpace
+from .pseudo_marginal import ABCModel, gaussian_abc_kernel
+from .samplers import MarginalProposal, choice_cdf
+from .special_cases import GmtmModel, RmcmcModel
 
 
 def two_state_space() -> StateSpace:
@@ -164,3 +170,51 @@ def random_lazy_quadruple(rng: np.random.Generator, n: int):
     Q0, _ = lazy_pair(Q1, b)
     f = FunctionVector(rng.normal(size=n), pi.space)
     return P0, P1, Q0, Q1, pi, f
+
+
+def gmtm_toy(n: int) -> GmtmModel:
+    """Multiple-try model with n tries on the support {a, b, c}."""
+    support = ("a", "b", "c")
+    pi_tab = {"a": 0.5, "b": 0.3, "c": 0.2}
+    rk = {"a": {"a": 0.2, "b": 0.5, "c": 0.3},
+          "b": {"a": 0.4, "b": 0.2, "c": 0.4},
+          "c": {"a": 0.3, "b": 0.6, "c": 0.1}}
+    return GmtmModel(
+        log_pi_star=lambda y: math.log(pi_tab[y]),
+        rcheck_sample=lambda gen, y: support[
+            gen.choice(3, p=[rk[y][v] for v in support])],
+        log_rcheck=lambda y, v: math.log(rk[y][v]),
+        omega=lambda y, v: pi_tab[v] + 0.1 * (y == v),
+        n=n, support=support)
+
+
+def gaussian_rmcmc_model(step: float = 1.0) -> RmcmcModel:
+    """Random-walk sampler for N(0, 1) written in involution form."""
+    c = -0.5 * math.log(2.0 * math.pi)
+    return RmcmcModel(
+        log_pi_star=lambda y: -0.5 * y * y,
+        rcheck_sample=lambda gen, y: y + step * gen.standard_normal(),
+        log_rcheck=lambda y, yh: c - 0.5 * ((yh - y) / step) ** 2 - math.log(step),
+        scheck_sample=lambda gen, y, yh: gen.standard_normal(),
+        log_scheck=lambda y, yh, u: c - 0.5 * u * u,
+        involution=lambda u: -u,
+        log_jacobian=lambda u: 0.0)
+
+
+def abc_toy(h: float) -> tuple[ABCModel, Callable, MarginalProposal, ProbVector]:
+    """Discrete ABC model with an exactly computable target."""
+    ys = [-1.0, 0.0, 1.0]
+    noise = [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]
+    offsets = [nz for nz, _ in noise]
+    cdf = choice_cdf([p for _, p in noise])
+    m = ABCModel(obs=0.5, kernel_K=gaussian_abc_kernel, h=h,
+                 summary=lambda u: u,
+                 simulator=lambda gen, y: y + offsets[bisect_right(cdf, gen.random())])
+    log_prior = lambda y: 0.0
+    prop = MarginalProposal(
+        sample=lambda gen, y: ys[gen.integers(3)],
+        log_density=lambda y, yh: -math.log(3.0))
+    weights = np.array([sum(p * m.weight_value(y + nz) for nz, p in noise)
+                        for y in ys])
+    target = ProbVector(weights / weights.sum(), StateSpace(ys))
+    return m, log_prior, prop, target

@@ -2,8 +2,7 @@
 
 The closed forms cover homogeneous chains and chains alternating between two
 kernels; the truncated-series routine is an independent oracle for the
-alternating closed form, and the batch-means / autocovariance estimators work
-on raw traces.
+alternating closed form, and the batch-means estimator works on raw traces.
 """
 
 from __future__ import annotations
@@ -45,10 +44,6 @@ class VarianceReport:
             raise ValueError(f"unknown method {self.method!r}")
         if self.value < -1e-10:
             raise ValueError(f"asymptotic variance {self.value!r} is negative")
-
-    def to_document(self) -> dict:
-        return {"value": self.value, "method": self.method,
-                "diagnostics": dict(self.diagnostics)}
 
 
 @dataclass(frozen=True)
@@ -267,11 +262,3 @@ def batch_means_variance(trace: Sequence[float], batch_count: int = 100) -> Vari
                                        "batch_length": blen,
                                        "standard_error": stderr})
 
-
-def empirical_autocov(trace: Sequence[float], lag: int) -> float:
-    """Sample covariance between trace[:n-lag] and trace[lag:]."""
-    x = np.asarray(trace, dtype=float)
-    if lag < 0 or lag >= x.size:
-        raise ValueError("lag out of range")
-    a, b = x[:x.size - lag], x[lag:]
-    return float(np.mean(a * b) - np.mean(a) * np.mean(b))

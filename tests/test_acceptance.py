@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from varorder import exactify, toys
-from varorder.cli import _gmtm_toy, gaussian_rmcmc_model
+from varorder.toys import gaussian_rmcmc_model, gmtm_toy as _gmtm_toy
 from varorder.ergodicity import drift_check, fit_certificate, summability_certificate
 from varorder.kernels import (FiniteKernel, FunctionVector, compose,
                               constant_kernel, detailed_balance_check,

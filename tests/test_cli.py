@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from varorder import cli, kernels, variance
+from varorder import cli, ergodicity, exactify, kernels, toys, variance
 
 
 EXPECTED_SCENARIOS = {
@@ -218,3 +218,47 @@ def test_metadata_tolerances_are_the_module_constants(tmp_path):
     assert meta["tolerances"] == {"entry": kernels.ENTRY_TOL,
                                   "spectral": kernels.SPECTRAL_TOL,
                                   "ordering": cli.ORDER_TOL}
+
+
+@pytest.mark.parametrize("text", [
+    '["remark14"]',
+    '{"scenario": ["remark14"]}',
+    '{"scenario": "remark14", "params": [1, 2]}',
+    '{"scenario": "remark14", "seed": "x"}',
+    '{"scenario": "remark14", "seed": 2.5}',
+    '{"scenario": "rmcmc-gaussian", "chain_length": "abc"}',
+    '{"scenario": "rmcmc-gaussian", "replicates": 1.5}',
+    '{"scenario": "theorem4-random-pairs", "params": {"pairs": 2.7}}',
+    '{"scenario": "gmtm-equivalence", "params": {"tries": "2"}}'])
+def test_malformed_configs_are_config_errors(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = str(tmp_path / "o")
+    assert cli.main(["run", str(path), "--out-dir", out]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_run_that_checks_no_assertion_fails(tmp_path):
+    doc = {"scenario": "remark14", "params": {"epsilons": []}}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 3
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["assertions"] == [] and report["all_hold"] is False
+
+
+def test_ergodicity_rows_equal_a_direct_certificate_fit(tmp_path):
+    out = str(tmp_path / "o")
+    cfg = write_config(tmp_path, {"scenario": "ergodicity-certificates", "seed": 3})
+    assert cli.main(["run", cfg, "--out-dir", out]) == 0
+    with open(os.path.join(out, "results.csv")) as fh:
+        rows = {(r["algorithm"], r["metric"]): float(r["value"]) for r in csv.DictReader(fh)}
+    m = toys.registry_toy()
+    Q, pi = exactify.accept_kernel(m), m.joint_pi
+    V = kernels.FunctionVector(1.0 / (pi.weights / pi.weights.max()), pi.space)
+    for name, P in (("systematic", exactify.systematic_refresh_kernel(m)),
+                    ("random_refresh", exactify.random_refresh_kernel(m))):
+        PQ = kernels.FiniteKernel(P.matrix @ Q.matrix, pi.space)
+        cert = ergodicity.fit_certificate(PQ, pi, V)
+        assert (rows[name, "rho"], rows[name, "C"], rows[name, "drift_b"]) == \
+            (cert.rho, cert.C, cert.b)

@@ -1,4 +1,4 @@
-"""Tests for the kernel algebra, ordering checks and serialization."""
+"""Tests for the kernel algebra and ordering checks."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
                               StateSpace, StateSpaceMismatchError,
                               NotReversibleError, compose, constant_kernel,
                               covariance_order_check, detailed_balance_check,
-                              identity_kernel, kernel_from_json,
-                              kernel_to_json, lag_one_autocov, lazy_pair,
+                              identity_kernel, lag_one_autocov, lazy_pair,
                               off_diagonal_order_check,
                               random_reversible_kernel, space)
 from varorder.variance import _inner
@@ -172,13 +171,3 @@ def test_inner_product_and_lag_one():
     assert _inner(pi, f.values, f.values) == pytest.approx(1.0)
     assert lag_one_autocov(identity_kernel(sp), pi, f) == pytest.approx(1.0)
     assert lag_one_autocov(constant_kernel(pi), pi, f) == pytest.approx(0.0)
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(29)
-    P, pi = random_reversible_kernel(rng, 4)
-    text = kernel_to_json(P, pi)
-    P2, pi2 = kernel_from_json(text)
-    assert P2.space.labels == P.space.labels
-    assert np.allclose(P2.matrix, P.matrix, atol=0)
-    assert np.allclose(pi2.weights, pi.weights, atol=0)

@@ -7,11 +7,9 @@ import pytest
 
 from varorder import exactify, toys
 from varorder.pseudo_marginal import (ABCModel, ImportanceModel,
-                                      ZeroWeightError, abc_model_from_config,
-                                      abc_random_refresh_model,
-                                      abc_weight_ratio, gaussian_abc_kernel,
-                                      gimh_as_freeze, gimh_as_random_refresh,
-                                      gimh_estimate, uniform_abc_kernel)
+                                      ZeroWeightError, abc_random_refresh_model,
+                                      gaussian_abc_kernel, gimh_as_freeze,
+                                      gimh_as_random_refresh, gimh_estimate)
 from varorder.samplers import (ChainState, MarginalProposal, RngStream,
                                freeze_step, random_refresh_step, run_chain)
 
@@ -107,35 +105,15 @@ def test_random_refresh_wiring_matches_freeze_ratio():
 
 def test_abc_kernels():
     assert gaussian_abc_kernel(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi))
-    assert uniform_abc_kernel(0.5) == 0.5
-    assert uniform_abc_kernel(1.5) == 0.0
-
-
-def test_abc_weight_ratio_cancels_normalizer():
-    m = ABCModel(obs=0.0, kernel_K=gaussian_abc_kernel, h=2.0,
-                 summary=lambda u: u, simulator=lambda gen, y: y)
-    ratio = abc_weight_ratio(m, 0.0, 1.0, 2.0)
-    assert ratio == pytest.approx(gaussian_abc_kernel(1.0) / gaussian_abc_kernel(0.5))
 
 
 def test_zero_weight_state_is_flagged():
-    m = ABCModel(obs=0.0, kernel_K=uniform_abc_kernel, h=1.0,
+    m = ABCModel(obs=0.0, kernel_K=lambda x: 0.5 if abs(x) <= 1.0 else 0.0, h=1.0,
                  summary=lambda u: u, simulator=lambda gen, y: y)
+    prop = MarginalProposal(sample=lambda gen, y: y, log_density=lambda y, yh: 0.0)
+    model = abc_random_refresh_model(m, lambda y: 0.0, prop)
     with pytest.raises(ZeroWeightError):
-        abc_weight_ratio(m, 0.0, 5.0, 0.0)  # current u is outside the window
-
-
-def test_abc_config_parsing():
-    m = abc_model_from_config({"kernel": "uniform", "h": 0.5, "obs": 1.0},
-                              summary=lambda u: u,
-                              simulator=lambda gen, y: y)
-    assert m.h == 0.5
-    with pytest.raises(ValueError, match="unknown ABC kernel"):
-        abc_model_from_config({"kernel": "triangle", "h": 1, "obs": 0},
-                              summary=lambda u: u, simulator=lambda gen, y: y)
-    with pytest.raises(ValueError):
-        abc_model_from_config({"kernel": "uniform", "h": -1, "obs": 0},
-                              summary=lambda u: u, simulator=lambda gen, y: y)
+        model.check_refresh.log_weight(0.0, 5.0)  # u is outside the window
 
 
 def test_abc_random_refresh_targets_smoothed_posterior():

@@ -7,27 +7,18 @@ import numpy as np
 import pytest
 
 from varorder import exactify
-from varorder.cli import _gmtm_toy, gaussian_rmcmc_model
+from varorder.toys import gaussian_rmcmc_model, gmtm_toy as _gmtm_toy
 from varorder.kernels import detailed_balance_check
 from varorder.samplers import DensityError, RngStream
-from varorder.special_cases import (INVOLUTIONS, GmtmModel, gmtm_embedding_model,
+from varorder.special_cases import (GmtmModel, gmtm_embedding_model,
                                     gmtm_exact_kernel, gmtm_log_ratio,
                                     gmtm_rst_decomposition, gmtm_select,
-                                    gmtm_step, gmtm_weight, rmcmc_chain,
+                                    gmtm_step, rmcmc_chain,
                                     rmcmc_log_ratio, rmcmc_step)
 from varorder.variance import batch_means_variance
 
 
 # ---- r-MCMC ----
-
-def test_involution_registry_contracts():
-    neg, neg_jac = INVOLUTIONS["negate"]
-    refl, refl_jac = INVOLUTIONS["reflect-about-c"](2.0)
-    for u in (-1.5, 0.0, 3.25):
-        assert neg(neg(u)) == u
-        assert refl(refl(u)) == u
-        assert neg_jac(u) == 0.0 and refl_jac(u) == 0.0
-
 
 def test_check_involution_rejects_non_involution():
     m = gaussian_rmcmc_model()
@@ -152,16 +143,6 @@ def test_gmtm_select_replays_gen_choice():
         w = list(shapes.uniform(0.0, 2.0, int(shapes.integers(1, 6))))
         total = float(sum(w))
         assert gmtm_select(w, ours) == ref.choice(len(w), p=np.asarray(w) / total)
-
-
-def test_weight_families():
-    m = _gmtm_toy(2)
-    omega_p = gmtm_weight("proposal", log_rcheck=m.log_rcheck)
-    omega_t = gmtm_weight("target", log_pi_star=m.log_pi_star)
-    assert omega_p("a", "b") == pytest.approx(math.exp(m.log_rcheck("a", "b")))
-    assert omega_t("a", "b") == pytest.approx(math.exp(m.log_pi_star("b")))
-    with pytest.raises(ValueError):
-        gmtm_weight("uniformish")
 
 
 def test_exact_kernel_is_stochastic_and_pi_reversible():

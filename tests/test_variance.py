@@ -16,7 +16,7 @@ from varorder.variance import (AlternatingModel, ReducibleChainError,
                                alternating_partial_sum_variance,
                                asvar_alternating, asvar_alternating_stack,
                                asvar_homogeneous, batch_means_variance,
-                               empirical_autocov, truncated_autocov_series)
+                               truncated_autocov_series)
 from varorder import toys
 from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
                                extract_kernel, random_refresh_kernel,
@@ -285,13 +285,6 @@ def test_batch_means_on_iid_noise():
 def test_batch_means_requires_enough_data():
     with pytest.raises(ValueError):
         batch_means_variance(np.zeros(50), batch_count=100)
-
-
-def test_empirical_autocov_iid_lag_zero_is_variance():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=100_000)
-    assert empirical_autocov(x, 0) == pytest.approx(1.0, rel=0.05)
-    assert abs(empirical_autocov(x, 5)) < 0.02
 
 
 def test_variance_report_validates():
