@@ -35,7 +35,7 @@ from .special_cases import (gmtm_embedding_model, gmtm_exact_kernel, gmtm_log_ra
 from .variance import (AlternatingModel, SummabilityError,
                        alternating_partial_sum_variance, asvar_alternating,
                        asvar_alternating_stack, asvar_homogeneous,
-                       batch_means_variance)
+                       asvar_homogeneous_stack, batch_means_variance)
 
 CSV_COLUMNS = ("scenario", "algorithm", "metric", "value", "stderr", "method",
                "seed", "replicate")
@@ -110,6 +110,13 @@ def _integer(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _number(name: str, value, low: float = 0.0, high: float = math.inf) -> float:
+    """value as a float strictly between low and high; anything else is a config error."""
+    if type(value) in (int, float) and low < value < high and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{name} must be a number in ({low}, {high}), got {value!r}")
+
+
 def _count_param(cfg: ScenarioConfig, name: str, default: int) -> int:
     """A count parameter; zero items would make its assertion hold vacuously."""
     count = _integer(name, cfg.params.get(name, default))
@@ -118,21 +125,10 @@ def _count_param(cfg: ScenarioConfig, name: str, default: int) -> int:
     return count
 
 
-def _lift_y_function(f: FunctionVector, m: exactify.FiniteAugmentedModel) -> FunctionVector:
-    """Extend a function of y to the joint (y, u) space."""
-    vals = np.repeat(f.values, m.U.size)
-    return FunctionVector(vals, m.joint_space)
-
-
 def _stationary_y_tv_gap(K: FiniteKernel, m: exactify.FiniteAugmentedModel) -> float:
     """Total variation between the y-marginal of K's stationary law and pi_star."""
     pi_hat = exactify.stationary_distribution(K)
     return exactify.total_variation(exactify.y_marginal_of(pi_hat, m), m.pi_star_vector)
-
-
-def _joint_asvar(m, algorithm: str, f_y: FunctionVector) -> float:
-    ext = exactify.extract_kernel(algorithm, m)
-    return asvar_homogeneous(ext.kernel, m.joint_pi, _lift_y_function(f_y, m)).value
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +141,10 @@ def _run_remark14(cfg: ScenarioConfig) -> ScenarioResult:
     f = toys.identity_function()
     I = identity_kernel(pi.space)
     Pi = constant_kernel(pi)
-    for eps in cfg.params["epsilons"]:
+    epsilons = cfg.params["epsilons"]
+    if not isinstance(epsilons, list):
+        raise ConfigError(f"epsilons must be a list of numbers, got {epsilons!r}")
+    for eps in [_number("epsilon", e, high=1.0) for e in epsilons]:
         Q0 = toys.q0_kernel(eps)
         v0 = asvar_homogeneous(compose(I, Q0), pi, f).value
         v1 = asvar_homogeneous(compose(Pi, Q0), pi, f).value
@@ -204,11 +203,10 @@ def _run_theorem4_pairs(cfg: ScenarioConfig) -> ScenarioResult:
     by_size = {}
     for _ in range(n_pairs):
         n = int(rng.integers(2, 7))
-        *quad, pi, f = toys.random_lazy_quadruple(rng, n)
-        by_size.setdefault(n, []).append([K.matrix for K in quad] + [pi.weights, f.values])
+        by_size.setdefault(n, []).append(toys.lazy_quadruple_draws(rng, n))
     min_margin = math.inf
     for group in by_size.values():  # one stacked call per size: [dominated, dominating]
-        P0, P1, Q0, Q1, pi, f = (np.array(column) for column in zip(*group))
+        P0, P1, Q0, Q1, pi, f = toys.lazy_quadruples(group)
         (v0, v1), _ = asvar_alternating_stack(np.stack([P0, P1]), np.stack([Q0, Q1]), pi, f)
         min_margin = min(min_margin, float(np.min(v0 - v1)))
     res.add("alternating", "min_variance_margin", min_margin, seed=cfg.seed)
@@ -225,17 +223,14 @@ def _ordering_rows(res: ScenarioResult, m, cfg: ScenarioConfig,
     """Exact per-algorithm variances for random functions of y; returns the
     worst margins of each refreshment flavor against the freeze baseline."""
     rng = RngStream(cfg.scenario, cfg.seed).generator
-    n_f = _count_param(cfg, "functions", 20)
-    worst = {a: math.inf for a in algorithms if a != "freeze"}
-    for k in range(n_f):
-        f_y = FunctionVector(rng.normal(size=m.Y.size), m.Y)
-        vals = {a: _joint_asvar(m, a, f_y) for a in algorithms}
-        for a in worst:
-            worst[a] = min(worst[a], vals["freeze"] - vals[a])
-        if k == 0:
-            for a, v in vals.items():
-                res.add(a, "asvar(f0)", v, seed=cfg.seed)
-    return worst
+    F_y = rng.normal(size=(_count_param(cfg, "functions", 20), m.Y.size))
+    F = np.repeat(F_y, m.U.size, axis=1)  # each function of y lifted to (y, u)
+    pi = m.joint_pi.weights
+    vals = {a: asvar_homogeneous_stack(exactify.extract_kernel(a, m).kernel.matrix, pi, F)[0]
+            for a in algorithms}
+    for a, v in vals.items():
+        res.add(a, "asvar(f0)", float(v[0]), seed=cfg.seed)
+    return {a: float(np.min(vals["freeze"] - vals[a])) for a in algorithms if a != "freeze"}
 
 
 def _run_freeze_vs_refresh(cfg: ScenarioConfig) -> ScenarioResult:
@@ -245,7 +240,7 @@ def _run_freeze_vs_refresh(cfg: ScenarioConfig) -> ScenarioResult:
     for a, margin in worst.items():
         res.add(a, "min_margin_vs_freeze", margin, seed=cfg.seed)
         res.check(f"asvar({a}) <= asvar(freeze)", margin >= -ORDER_TOL,
-                  f"exactify.extract_kernel + asvar_homogeneous, tol {ORDER_TOL}; "
+                  f"exactify.extract_kernel + asvar_homogeneous_stack, tol {ORDER_TOL}; "
                   f"worst margin {margin!r}")
     return res
 
@@ -309,13 +304,9 @@ def _run_marginal_mh_peskun(cfg: ScenarioConfig) -> ScenarioResult:
     res.check("marginal MH dominates systematic refreshment off-diagonal",
               cert.holds, f"off_diagonal_order_check; witness {cert.witness!r}")
     rng = RngStream(cfg.scenario, cfg.seed).generator
-    pi_y = m.pi_star_vector
-    min_margin = math.inf
-    for _ in range(_count_param(cfg, "functions", 20)):
-        f_y = FunctionVector(rng.normal(size=m.Y.size), m.Y)
-        v_sys = asvar_homogeneous(sys_y, pi_y, f_y).value
-        v_mh = asvar_homogeneous(mh_y, pi_y, f_y).value
-        min_margin = min(min_margin, v_sys - v_mh)
+    F = rng.normal(size=(_count_param(cfg, "functions", 20), m.Y.size))
+    v_sys, v_mh = (asvar_homogeneous_stack(K.matrix, m.pi_star, F)[0] for K in (sys_y, mh_y))
+    min_margin = float(np.min(v_sys - v_mh))
     res.add("marginal_mh", "min_margin_vs_systematic", min_margin, seed=cfg.seed)
     res.check("asvar(marginal MH) <= asvar(systematic refreshment)",
               min_margin >= -ORDER_TOL, f"worst margin {min_margin!r}")
@@ -335,7 +326,7 @@ def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
     res.add("gmtm", "n1_vs_mh_max_gap", worst, seed=cfg.seed)
     res.check("single-try acceptance collapses to standard MH",
               worst <= EXACT_TOL, f"max log-ratio gap {worst!r}")
-    mn = toys.gmtm_toy(_integer("tries", cfg.params.get("tries", 2)))
+    mn = toys.gmtm_toy(_count_param(cfg, "tries", 2))
     direct = gmtm_exact_kernel(mn)
     pi_tab = {y: math.exp(mn.log_pi_star(y)) for y in mn.support}
     emb_model = gmtm_embedding_model(mn, pi_tab)
@@ -350,7 +341,7 @@ def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_rmcmc_gaussian(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    model = toys.gaussian_rmcmc_model(step=float(cfg.params.get("step", 1.0)))
+    model = toys.gaussian_rmcmc_model(step=_number("step", cfg.params.get("step", 1.0)))
     n = cfg.chain_length
     for rep in range(cfg.replicates):
         seed = cfg.seed + rep
@@ -369,7 +360,7 @@ def _run_rmcmc_gaussian(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_abc_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    abc, log_prior, prop, target = toys.abc_toy(float(cfg.params.get("h", 1.0)))
+    abc, log_prior, prop, target = toys.abc_toy(_number("h", cfg.params.get("h", 1.0)))
     model = abc_random_refresh_model(abc, log_prior, prop)
     rng = RngStream("abc-random-refresh", cfg.seed)
     gen = rng.generator

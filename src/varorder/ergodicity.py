@@ -58,11 +58,13 @@ def geometric_bound_fit(P: FiniteKernel, pi: ProbVector, V: FunctionVector,
     slem = _slem(P)
     if slem >= 1.0 - 1e-9:
         raise GeometricFitError(f"second eigenvalue modulus {slem:.12f} too close to 1")
+    if np.any(V.values < 1.0):
+        raise ValueError("V must be >= 1 entrywise")
     rho = slem + RHO_MARGIN
     C = 0.0
     Pn = np.eye(P.size)
     for step in range(n_max + 1):
-        dist = v_norm_distance(Pn - pi.weights, V)  # one entry per start state x
+        dist = np.sum(np.abs(Pn - pi.weights) * V.values, axis=-1)  # V-norm per start x
         live = dist > NOISE_FLOOR  # rows converged to float round-off would inflate C
         if live.any():
             C = max(C, float(np.max(dist[live] / (rho ** step * V.values[live]))))

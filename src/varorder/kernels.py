@@ -112,18 +112,25 @@ class FiniteKernel:
         sp = space_ if space_ is not None else space(arr.shape[0])
         if arr.shape[0] != sp.size:
             raise ValueError("matrix size does not match state space size")
-        if np.any(arr < -ENTRY_TOL) or np.any(arr > 1.0 + ENTRY_TOL):
-            raise ValueError("kernel entries must lie in [0, 1]")
-        rowsums = arr.sum(axis=1)
-        bad = np.argmax(np.abs(rowsums - 1.0))
-        if abs(rowsums[bad] - 1.0) > ENTRY_TOL:
-            raise ValueError(f"row {bad} sums to {rowsums[bad]!r}, not 1")
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", check_stochastic(arr))
         object.__setattr__(self, "space", sp)
 
     @property
     def size(self) -> int:
         return self.space.size
+
+
+def check_stochastic(arr: np.ndarray) -> np.ndarray:
+    """arr, once every row along its last axis (kernels, stacks of them, or
+    distributions) lies in [0, 1] and sums to 1 within ENTRY_TOL; otherwise
+    ValueError naming the worst row, counted across the stack."""
+    if not np.all((arr >= -ENTRY_TOL) & (arr <= 1.0 + ENTRY_TOL)):
+        raise ValueError("kernel entries must lie in [0, 1]")
+    rowsums = arr.sum(axis=-1).ravel()
+    bad = np.argmax(np.abs(rowsums - 1.0))
+    if abs(rowsums[bad] - 1.0) > ENTRY_TOL:
+        raise ValueError(f"row {bad} sums to {rowsums[bad]!r}, not 1")
+    return arr
 
 
 def identity_kernel(sp: StateSpace) -> FiniteKernel:
@@ -235,23 +242,25 @@ def lag_one_autocov(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> float
     return float(np.sum(pi.weights * f.values * (P.matrix @ f.values)))
 
 
+def metropolis(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Metropolis kernels for stochastic proposals K (..., n, n) and positive
+    targets pi (..., n): the acceptance rule enforces detailed balance
+    exactly (up to float round-off far below ENTRY_TOL)."""
+    flow = pi[..., :, None] * K
+    P = K * np.minimum(1.0, np.swapaxes(flow, -1, -2) / flow)
+    diag = np.arange(K.shape[-1])
+    P[..., diag, diag] = 0.0
+    P[..., diag, diag] = 1.0 - P.sum(axis=-1)
+    return P
+
+
 def random_reversible_kernel(rng: np.random.Generator, n: int,
                              pi: Optional[ProbVector] = None
                              ) -> tuple[FiniteKernel, ProbVector]:
-    """Draw a random pi-reversible kernel via a Metropolis construction.
-
-    A random positive target and a random stochastic proposal are combined
-    with the Metropolis acceptance rule, which enforces detailed balance
-    exactly (up to float round-off far below ENTRY_TOL).
-    """
+    """Random pi-reversible Metropolis kernel (and a random positive pi unless given)."""
     if pi is None:
         w = rng.uniform(0.2, 1.0, size=n)
         pi = ProbVector(w / w.sum())
     K = rng.uniform(0.05, 1.0, size=(n, n))
-    K /= K.sum(axis=1, keepdims=True)
-    flow = pi.weights[:, None] * K
-    P = K * np.minimum(1.0, flow.T / flow)
-    np.fill_diagonal(P, 0.0)
-    P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
-    return FiniteKernel(P, pi.space), pi
-
+    return FiniteKernel(metropolis(K / K.sum(axis=1, keepdims=True), pi.weights),
+                        pi.space), pi

@@ -12,7 +12,8 @@ from typing import Callable
 import numpy as np
 
 from .exactify import FiniteAugmentedModel
-from .kernels import FiniteKernel, FunctionVector, ProbVector, StateSpace
+from .kernels import (FiniteKernel, FunctionVector, ProbVector, StateSpace,
+                      check_stochastic, metropolis)
 from .pseudo_marginal import ABCModel, gaussian_abc_kernel
 from .samplers import MarginalProposal, choice_cdf
 from .special_cases import GmtmModel, RmcmcModel
@@ -72,21 +73,15 @@ def registry_toy() -> FiniteAugmentedModel:
                       [0.5, 1.5],
                       [2.0, 1.0]])
     w = raw_w / (rcheck * raw_w).sum(axis=1, keepdims=True)
-    S = np.zeros((3, 2, 3))
     base = np.array([[0.5, 0.3, 0.2],
                      [0.2, 0.5, 0.3],
                      [0.3, 0.2, 0.5]])
     tilt = np.array([[0.4, 0.4, 0.2],
                      [0.3, 0.3, 0.4],
                      [0.2, 0.5, 0.3]])
-    S[:, 0, :] = base
-    S[:, 1, :] = tilt
-    T = np.zeros((3, 2, 3, 2))
-    for y in range(3):
-        for u in range(2):
-            for yh in range(3):
-                p = 0.3 + 0.4 * ((y + u + yh) % 2)  # in (0, 1), varies with all args
-                T[y, u, yh] = [p, 1.0 - p]
+    S = np.stack([base, tilt], axis=1)
+    p = 0.3 + 0.4 * (np.indices((3, 2, 3)).sum(axis=0) % 2)  # p[y, u, yh] varies with all
+    T = np.stack([p, 1.0 - p], axis=-1)
     return FiniteAugmentedModel(Y=Y, U=U, pi_star=pi_star, S=S, T=T,
                                 rcheck=rcheck, w=w)
 
@@ -103,13 +98,8 @@ def conjugate_toy() -> FiniteAugmentedModel:
     base = np.array([[0.5, 0.3, 0.2],
                      [0.2, 0.5, 0.3],
                      [0.3, 0.2, 0.5]])
-    S = np.zeros_like(g.S)
-    S[:, 0, :] = base
-    S[:, 1, :] = base
-    T = np.zeros_like(g.T)
-    for y in range(3):
-        for u in range(2):
-            T[y, u, :, :] = g.r
+    S = np.stack([base, base], axis=1)
+    T = np.tile(g.r, (3, 2, 1, 1))
     return FiniteAugmentedModel(Y=g.Y, U=g.U, pi_star=g.pi_star, S=S, T=T,
                                 rcheck=g.rcheck, w=g.w)
 
@@ -134,23 +124,12 @@ def finite_gimh_toy(N: int = 2) -> tuple[FiniteAugmentedModel, dict]:
     u_labels = list(itertools.product(range(len(V)), repeat=N))
     U = StateSpace(u_labels)
     ny, nu = 2, len(u_labels)
-
-    def estimate(y, u):
-        return sum(pi_bar[y, v] / q[y, v] for v in u) / N
-
-    rcheck = np.zeros((ny, nu))
-    w = np.zeros((ny, nu))
-    for ui, u in enumerate(u_labels):
-        for y in range(ny):
-            rcheck[y, ui] = math.prod(q[y, v] for v in u)
-            w[y, ui] = estimate(y, u) / pi_star[y]
-    S = np.zeros((ny, nu, ny))
-    T = np.zeros((ny, nu, ny, nu))
-    for ui in range(nu):
-        S[:, ui, :] = s_prop
-        for y in range(ny):
-            for yh in range(ny):
-                T[y, ui, yh, :] = rcheck[yh, :]
+    rcheck = np.array([[math.prod(q[y, v] for v in u) for u in u_labels] for y in range(ny)])
+    # w = the importance-sampling estimate of pi_star(y), over pi_star(y)
+    w = np.array([[sum(pi_bar[y, v] / q[y, v] for v in u) / N / pi_star[y] for u in u_labels]
+                  for y in range(ny)])
+    S = np.tile(s_prop[:, None, :], (1, nu, 1))
+    T = np.tile(rcheck, (ny, nu, 1, 1))
     model = FiniteAugmentedModel(Y=Y, U=U, pi_star=pi_star / pi_star.sum(),
                                  S=S, T=T, rcheck=rcheck, w=w)
     tables = {"pi_bar": pi_bar, "q": q, "pi_star": pi_star, "s_prop": s_prop,
@@ -158,18 +137,37 @@ def finite_gimh_toy(N: int = 2) -> tuple[FiniteAugmentedModel, dict]:
     return model, tables
 
 
-def random_lazy_quadruple(rng: np.random.Generator, n: int):
-    """Random covariance-ordered quadruple (P0, P1, Q0, Q1) plus (pi, f), built
-    from two random reversible kernels via lazy mixing."""
-    from .kernels import lazy_pair, random_reversible_kernel
-    P1, pi = random_reversible_kernel(rng, n)
-    Q1, _ = random_reversible_kernel(rng, n, pi=pi)
-    a = rng.uniform(0.1, 0.9)
-    b = rng.uniform(0.1, 0.9)
-    P0, _ = lazy_pair(P1, a)
-    Q0, _ = lazy_pair(Q1, b)
-    f = FunctionVector(rng.normal(size=n), pi.space)
+def lazy_quadruple_draws(rng: np.random.Generator, n: int) -> tuple:
+    """Raw draws of one random lazy quadruple, in stream order: target
+    weights, the proposals of P1 and Q1, the laziness of P0 and Q0, and f."""
+    return (rng.uniform(0.2, 1.0, size=n), rng.uniform(0.05, 1.0, size=(n, n)),
+            rng.uniform(0.05, 1.0, size=(n, n)), rng.uniform(0.1, 0.9),
+            rng.uniform(0.1, 0.9), rng.normal(size=n))
+
+
+def lazy_quadruples(draws: list) -> tuple:
+    """Covariance-ordered quadruples (P0, P1, Q0, Q1) plus (pi, f), stacked,
+    one per entry of draws (from lazy_quadruple_draws, all of one size): P1
+    and Q1 are Metropolis kernels for pi = w / sum(w), P0 and Q0 their a- and
+    b-lazy versions.  Kernel rows and pi are checked as distributions."""
+    w, KP, KQ, a, b, f = (np.array(column) for column in zip(*draws))
+    pi = w / w.sum(axis=-1, keepdims=True)
+    P1, Q1 = (metropolis(K / K.sum(axis=-1, keepdims=True), pi) for K in (KP, KQ))
+    eye = np.eye(w.shape[-1])
+    P0, Q0 = ((1.0 - c)[:, None, None] * K + c[:, None, None] * eye
+              for c, K in ((a, P1), (b, Q1)))
+    check_stochastic(np.stack([P0, P1, Q0, Q1]))
+    if np.any(check_stochastic(pi) < 0) or not np.all(np.isfinite(f)):
+        raise ValueError("pi must be nonnegative and f finite")
     return P0, P1, Q0, Q1, pi, f
+
+
+def random_lazy_quadruple(rng: np.random.Generator, n: int):
+    """One random covariance-ordered quadruple (P0, P1, Q0, Q1) plus (pi, f):
+    the typed single member of lazy_quadruples."""
+    *quad, pi, f = (x[0] for x in lazy_quadruples([lazy_quadruple_draws(rng, n)]))
+    pi = ProbVector(pi)
+    return (*(FiniteKernel(K, pi.space) for K in quad), pi, FunctionVector(f, pi.space))
 
 
 def gmtm_toy(n: int) -> GmtmModel:

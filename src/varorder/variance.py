@@ -123,21 +123,30 @@ def _inner(pi: ProbVector, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(pi.weights * a * b))
 
 
-def asvar_homogeneous(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> VarianceReport:
-    """Exact asymptotic variance of a homogeneous pi-stationary chain.
+def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
+                            F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact asymptotic variances of k functions F (k, n) of one homogeneous
+    chain P (n, n) with stationary pi (n,); returns (values, variance_of_f).
 
-    Uses v = pi fbar^2 + 2 <fbar, g> with (I - P + 1 pi^T) g = P fbar, one
-    gated solve: ReducibleChainError when its ||.^-1||_1 estimate exceeds
-    1 / EIGENVALUE_ONE_TOL (the eigenvalue 1 of P is not simple).
+    v = pi fbar^2 + 2 <fbar, g> with (I - P + 1 pi^T) g = P fbar: one gated
+    solve, a column per function.  ReducibleChainError when its ||.^-1||_1
+    estimate exceeds 1 / EIGENVALUE_ONE_TOL (eigenvalue 1 of P not simple).
     """
-    resid = np.max(np.abs(pi.weights @ P.matrix - pi.weights))
+    resid = np.max(np.abs(pi @ P - pi))
     if resid > INVARIANCE_TOL:
         raise ValueError(f"pi is not invariant for P (residual {resid:.3e})")
-    fbar = _centered(f, pi)
-    g = _fundamental_solve(P.matrix, pi.weights, P.matrix @ fbar)
-    value = _inner(pi, fbar, fbar) + 2.0 * _inner(pi, fbar, g)
-    return VarianceReport(value=max(value, 0.0), method="closed_form",
-                          diagnostics={"variance_of_f": _inner(pi, fbar, fbar)})
+    fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
+    g = _fundamental_solve(P, pi, P @ fbar.T)
+    w = pi * fbar
+    var_f = np.sum(w * fbar, axis=-1)
+    return np.maximum(var_f + 2.0 * np.sum(w * g.T, axis=-1), 0.0), var_f
+
+
+def asvar_homogeneous(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> VarianceReport:
+    """Exact asymptotic variance of a homogeneous chain: asvar_homogeneous_stack for one f."""
+    (value,), (var_f,) = asvar_homogeneous_stack(P.matrix, pi.weights, f.values[None, :])
+    return VarianceReport(value=float(value), method="closed_form",
+                          diagnostics={"variance_of_f": float(var_f)})
 
 
 def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray]:

@@ -239,6 +239,25 @@ def test_malformed_configs_are_config_errors(tmp_path, capsys, text):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+@pytest.mark.parametrize("scenario, params", [
+    ("remark14", {"epsilons": 5}),
+    ("remark14", {"epsilons": ["a"]}),
+    ("remark14", {"epsilons": [1.5]}),
+    ("remark14", {"epsilons": [0.5, True]}),
+    ("abc-random-refresh", {"h": "x"}),
+    ("abc-random-refresh", {"h": -1}),
+    ("rmcmc-gaussian", {"step": 0}),
+    ("rmcmc-gaussian", {"step": "x"}),
+    ("rmcmc-gaussian", {"step": 10 ** 400}),
+    ("gmtm-equivalence", {"tries": 0})])
+def test_out_of_range_scenario_params_are_config_errors(tmp_path, capsys, scenario, params):
+    doc = {"scenario": scenario, "params": params, "chain_length": 1000}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 def test_run_that_checks_no_assertion_fails(tmp_path):
     doc = {"scenario": "remark14", "params": {"epsilons": []}}
     out = str(tmp_path / "o")

@@ -5,10 +5,11 @@ import pytest
 
 from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
                               StateSpace, StateSpaceMismatchError,
-                              NotReversibleError, compose, constant_kernel,
+                              NotReversibleError, check_stochastic, compose,
+                              constant_kernel,
                               covariance_order_check, detailed_balance_check,
                               identity_kernel, lag_one_autocov, lazy_pair,
-                              off_diagonal_order_check,
+                              metropolis, off_diagonal_order_check,
                               random_reversible_kernel, space)
 from varorder.variance import _inner
 
@@ -39,6 +40,25 @@ def test_kernel_rejects_bad_rows():
 def test_kernel_rejects_negative_entries():
     with pytest.raises(ValueError):
         FiniteKernel([[1.1, -0.1], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("where", ["bad_row", "negative_entry"])
+def test_check_stochastic_rejects_one_bad_member_of_a_stack(where):
+    stack = np.full((4, 3, 3), 1.0 / 3.0)
+    check_stochastic(stack)
+    if where == "bad_row":
+        stack[2, 1, 0] += 1e-9  # row 7 counted across the stack
+        match = "row 7 sums to"
+    else:
+        stack[3, 0] = [-1e-9, 0.5, 0.5 + 1e-9]
+        match = "entries must lie in"
+    with pytest.raises(ValueError, match=match):
+        check_stochastic(stack)
+
+
+def test_kernel_rejects_non_finite_entries():
+    with pytest.raises(ValueError):
+        FiniteKernel([[np.nan, 1.0], [0.5, 0.5]])
 
 
 def test_arrays_are_read_only():
@@ -99,6 +119,23 @@ def test_random_reversible_kernel_matches_element_loop(n):
         ref[i, i] = 1.0 - ref[i].sum()
     assert np.array_equal(pi.weights, p)
     assert np.array_equal(P.matrix, ref)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_metropolis_stack_equals_random_reversible_kernel(n):
+    """One stacked build reproduces each separately drawn kernel bit for bit."""
+    seeds = range(6)
+    singles = [random_reversible_kernel(np.random.default_rng(s), n) for s in seeds]
+    draws = []
+    for s in seeds:
+        rng = np.random.default_rng(s)
+        w = rng.uniform(0.2, 1.0, size=n)
+        draws.append((w / w.sum(), rng.uniform(0.05, 1.0, size=(n, n))))
+    pi, K = (np.array(column) for column in zip(*draws))
+    P = metropolis(K / K.sum(axis=-1, keepdims=True), pi)
+    for member, (single, single_pi) in zip(P, singles):
+        assert np.array_equal(member, single.matrix)
+    assert np.array_equal(pi, np.array([p.weights for _, p in singles]))
 
 
 # ---- orderings ----

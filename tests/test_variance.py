@@ -15,7 +15,8 @@ from varorder.variance import (AlternatingModel, ReducibleChainError,
                                SummabilityError, VarianceReport,
                                alternating_partial_sum_variance,
                                asvar_alternating, asvar_alternating_stack,
-                               asvar_homogeneous, batch_means_variance,
+                               asvar_homogeneous, asvar_homogeneous_stack,
+                               batch_means_variance,
                                truncated_autocov_series)
 from varorder import toys
 from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
@@ -73,6 +74,41 @@ def test_near_reducible_gate_boundary(eps, accepted):
             stationary_distribution(K)
         with pytest.raises(ReducibleChainError):
             asvar_homogeneous(K, pi, f)
+
+
+@pytest.mark.parametrize("n", [3, 12, 64])
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_homogeneous_stack_matches_per_function_calls(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    P, pi = random_reversible_kernel(rng, n)
+    F = rng.normal(size=(k, n))
+    values, var_f = asvar_homogeneous_stack(P.matrix, pi.weights, F)
+    assert values.shape == var_f.shape == (k,)
+    for j in range(k):
+        report = asvar_homogeneous(P, pi, FunctionVector(F[j], P.space))
+        assert values[j] == pytest.approx(report.value, rel=1e-14, abs=0)
+        assert var_f[j] == pytest.approx(report.diagnostics["variance_of_f"],
+                                         rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("eps", [None, 3e-10, 1e-12])
+def test_homogeneous_stack_keeps_the_reducibility_gate(eps):
+    """Five right-hand sides do not move the gate: the identity kernel and the
+    near-reducible kernels rejected one function at a time are rejected."""
+    P = np.eye(2) if eps is None else np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
+    F = np.random.default_rng(7).normal(size=(5, 2))
+    with pytest.raises(ReducibleChainError):
+        asvar_homogeneous_stack(P, np.array([0.5, 0.5]), F)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_homogeneous_stack_accepts_the_near_reducible_kernels_the_gate_admits(eps):
+    P = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
+    F = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
+    values, _ = asvar_homogeneous_stack(P, np.array([0.5, 0.5]), F)
+    # v = pi(fbar^2) (1 + lambda) / (1 - lambda) with lambda = 1 - 2 eps
+    spread = (F[:, 1] - F[:, 0]) ** 2 / 4.0
+    assert values == pytest.approx(spread * (1 - eps) / eps, rel=1e-6, abs=1e-300)
 
 
 def test_non_invariant_pi_is_rejected():
