@@ -475,6 +475,8 @@ _REGISTRY = {spec.name: spec for spec in (
 )}
 
 DEFAULT_CHAIN_LENGTH = {"rmcmc-gaussian": 100_000, "abc-random-refresh": 100_000}
+# batch means with its default 100 batches needs two draws per batch
+MIN_CHAIN_LENGTH = {"rmcmc-gaussian": 200}
 
 
 def registry() -> dict:
@@ -502,10 +504,13 @@ def config_from_document(doc: dict, seed_override=None) -> ScenarioConfig:
         raise ConfigError(f"params must be a JSON object, got {params!r}")
     params = {**_REGISTRY[name].defaults, **params}
     seed = doc.get("seed", 0) if seed_override is None else seed_override
+    chain_length = _integer("chain_length", doc.get("chain_length",
+                                                    DEFAULT_CHAIN_LENGTH.get(name, 0)))
+    if chain_length < MIN_CHAIN_LENGTH.get(name, 0):
+        raise ConfigError(f"{name} needs chain_length >= {MIN_CHAIN_LENGTH[name]}, "
+                          f"got {chain_length}")
     return ScenarioConfig(
-        scenario=name, params=params,
-        chain_length=_integer("chain_length", doc.get("chain_length",
-                                                      DEFAULT_CHAIN_LENGTH.get(name, 0))),
+        scenario=name, params=params, chain_length=chain_length,
         replicates=_integer("replicates", doc.get("replicates", 1)),
         seed=_integer("seed", seed))
 

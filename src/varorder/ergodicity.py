@@ -25,13 +25,6 @@ class GeometricFitError(ValueError):
     """No geometric decay: a nontrivial eigenvalue has modulus (close to) 1."""
 
 
-def v_norm_distance(mu: np.ndarray, V: FunctionVector) -> float | np.ndarray:
-    """V-norm of a finite signed measure, or of each row of mu: sum_x |mu_x| V(x)."""
-    if np.any(V.values < 1.0):
-        raise ValueError("V must be >= 1 entrywise")
-    return np.sum(np.abs(np.asarray(mu, dtype=float)) * V.values, axis=-1)
-
-
 def drift_check(P: FiniteKernel, V: FunctionVector, lam: float) -> tuple[bool, float]:
     """Minimal b such that PV <= lam V + b; holds unless b is non-finite."""
     if not 0.0 < lam < 1.0:
@@ -53,23 +46,35 @@ def _slem(P: FiniteKernel) -> float:
 
 
 def geometric_bound_fit(P: FiniteKernel, pi: ProbVector, V: FunctionVector,
-                        n_max: int = DEFAULT_N_MAX) -> tuple[float, float]:
-    """Fit (C, rho) with ||P^n(x,.) - pi||_V <= C rho^n V(x) for n <= n_max."""
+                        n_max: int = DEFAULT_N_MAX) -> tuple[float, float, int]:
+    """Fit (C, rho) with ||P^n(x,.) - pi||_V <= C rho^n V(x) wherever that
+    distance is above NOISE_FLOOR, for n up to the returned horizon: the first
+    step at which no row of P^n - Pi is above the floor (n_max if some row is
+    still live there).  Stopping there loses nothing: row x of P^{n+1} = P P^n
+    is a convex combination of the rows of P^n, so max_x ||P^n(x,.) - pi||_V
+    never increases with n, and once every row is at the floor none can rise
+    in exact arithmetic.  A later rise in floating point is round-off (the
+    stored rows sum to 1 only to within ~1e-16, and P^n compounds that),
+    which is what the floor ignores.
+    """
     slem = _slem(P)
     if slem >= 1.0 - 1e-9:
         raise GeometricFitError(f"second eigenvalue modulus {slem:.12f} too close to 1")
     if np.any(V.values < 1.0):
         raise ValueError("V must be >= 1 entrywise")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     rho = slem + RHO_MARGIN
     C = 0.0
     Pn = np.eye(P.size)
     for step in range(n_max + 1):
         dist = np.sum(np.abs(Pn - pi.weights) * V.values, axis=-1)  # V-norm per start x
         live = dist > NOISE_FLOOR  # rows converged to float round-off would inflate C
-        if live.any():
-            C = max(C, float(np.max(dist[live] / (rho ** step * V.values[live]))))
+        if not live.any():
+            break
+        C = max(C, float(np.max(dist[live] / (rho ** step * V.values[live]))))
         Pn = Pn @ P.matrix
-    return max(C, 1.0), rho
+    return max(C, 1.0), rho, step
 
 
 @dataclass(frozen=True)
@@ -79,10 +84,11 @@ class DriftCertificate:
     b: float
     C: float
     rho: float
+    horizon: int  # step at which the geometric fit stopped
 
     def to_document(self) -> dict:
         return {"V": self.V.values.tolist(), "lambda": self.lam, "b": self.b,
-                "C": self.C, "rho": self.rho}
+                "C": self.C, "rho": self.rho, "horizon": self.horizon}
 
 
 def fit_certificate(P: FiniteKernel, pi: ProbVector, V: FunctionVector,
@@ -90,8 +96,8 @@ def fit_certificate(P: FiniteKernel, pi: ProbVector, V: FunctionVector,
     holds, b = drift_check(P, V, lam)
     if not holds:
         raise GeometricFitError("drift bound is non-finite")
-    C, rho = geometric_bound_fit(P, pi, V, n_max=n_max)
-    return DriftCertificate(V=V, lam=lam, b=b, C=C, rho=rho)
+    C, rho, horizon = geometric_bound_fit(P, pi, V, n_max=n_max)
+    return DriftCertificate(V=V, lam=lam, b=b, C=C, rho=rho, horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,6 @@ def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
     The bounds are stated for centered f with |f|_{V^{1/2}} <= 1 and
     |Pf|_{V^{1/2}} <= 1; general f is rescaled and the scale reported.
     """
-    if np.any(V.values < 1.0):
-        raise ValueError("V must be >= 1 entrywise")
     PQ = FiniteKernel(P.matrix @ Q.matrix, P.space)
     cert = fit_certificate(PQ, pi, V, n_max=n_max)
     fbar = f.values - float(np.sum(pi.weights * f.values))
@@ -135,30 +139,21 @@ def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
     piV = float(np.sum(pi.weights * V.values))
     C, rho = cert.C, cert.rho
 
-    def cov(vec_left: np.ndarray, vec_right: np.ndarray) -> float:
-        return abs(float(np.sum(pi.weights * vec_left * vec_right)))
-
-    A = PQ.matrix
-    slack = np.inf
-    # X0-anchored: lag 2n -> g (PQ)^n g, lag 2n+1 -> g (PQ)^n P g
-    vec = g.copy()
-    vec_p = P.matrix @ g
-    for n in range(n_horizon + 1):
-        bound = (2.0 * C * rho ** n) ** 0.5 * piV
-        if n >= 1:
-            slack = min(slack, bound - cov(g, vec))
-        slack = min(slack, bound - cov(g, vec_p))
-        vec = A @ vec
-        vec_p = A @ vec_p
-    # X1-anchored: X1 ~ pi; lag 2n -> g Q(PQ)^{n-1} g, lag 2n+1 -> g Q(PQ)^{n-1} P g
-    vec = g.copy()
-    vec_p = P.matrix @ g
-    for n in range(1, n_horizon + 1):
-        bound = (2.0 * C * rho ** (n - 1)) ** 0.5 * piV
-        slack = min(slack, bound - cov(g, Q.matrix @ vec))
-        slack = min(slack, bound - cov(g, Q.matrix @ vec_p))
-        vec = A @ vec
-        vec_p = A @ vec_p
+    # one pass of matvecs: orbit[n] = ((PQ)^n g, (PQ)^n P g) and q_orbit[n] = Q orbit[n]
+    orbit = np.empty((n_horizon + 1, 2, g.size))
+    q_orbit = np.empty((n_horizon, 2, g.size))
+    orbit[0] = g, P.matrix @ g
+    for n in range(n_horizon):
+        q_orbit[n] = Q.matrix @ orbit[n, 0], Q.matrix @ orbit[n, 1]
+        orbit[n + 1] = PQ.matrix @ orbit[n, 0], PQ.matrix @ orbit[n, 1]
+    pig = pi.weights * g
+    bound = (2.0 * C * rho ** np.arange(n_horizon + 1)) ** 0.5 * piV
+    # X0-anchored: lag 2n -> g (PQ)^n g (n >= 1), lag 2n+1 -> g (PQ)^n P g
+    x0 = bound[:, None] - np.abs(np.sum(pig * orbit, axis=-1))
+    x0[0, 0] = np.inf
+    # X1-anchored, X1 ~ pi: lags 2n, 2n+1 -> g Q (PQ)^{n-1} (g, P g) for n >= 1
+    x1 = bound[:-1, None] - np.abs(np.sum(pig * q_orbit, axis=-1))
+    slack = min(x0.min(), x1.min(initial=np.inf))
     return SummabilityReport(certificate=cert, f_vhalf_norm=f_norm,
                              pf_vhalf_norm=pf_norm, scale=scale,
                              max_bound_slack=float(slack),

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 
 import pytest
 
@@ -166,6 +167,19 @@ def test_nonpositive_count_params_are_config_errors(tmp_path, capsys, scenario,
     out = str(tmp_path / "o")
     assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
     assert f"{param} must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+@pytest.mark.parametrize("chain_length", [0, 150])
+def test_rmcmc_chain_too_short_for_batch_means_is_config_error(tmp_path, capsys,
+                                                              chain_length):
+    """Batch means with 100 batches needs at least 200 draws."""
+    doc = {"scenario": "rmcmc-gaussian", "chain_length": chain_length}
+    out = str(tmp_path / "o")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    assert "chain_length >= 200" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
