@@ -477,6 +477,8 @@ _REGISTRY = {spec.name: spec for spec in (
 DEFAULT_CHAIN_LENGTH = {"rmcmc-gaussian": 100_000, "abc-random-refresh": 100_000}
 # batch means with its default 100 batches needs two draws per batch
 MIN_CHAIN_LENGTH = {"rmcmc-gaussian": 200}
+# the only runner that loops over cfg.replicates
+REPLICATED = {"rmcmc-gaussian"}
 
 
 def registry() -> dict:
@@ -509,17 +511,19 @@ def config_from_document(doc: dict, seed_override=None) -> ScenarioConfig:
     if chain_length < MIN_CHAIN_LENGTH.get(name, 0):
         raise ConfigError(f"{name} needs chain_length >= {MIN_CHAIN_LENGTH[name]}, "
                           f"got {chain_length}")
-    return ScenarioConfig(
-        scenario=name, params=params, chain_length=chain_length,
-        replicates=_integer("replicates", doc.get("replicates", 1)),
-        seed=_integer("seed", seed))
+    replicates = _integer("replicates", doc.get("replicates", 1))
+    if replicates > 1 and name not in REPLICATED:
+        raise ConfigError(f"{name} runs no replicates; only "
+                          f"{', '.join(sorted(REPLICATED))} takes replicates > 1")
+    return ScenarioConfig(scenario=name, params=params, chain_length=chain_length,
+                          replicates=replicates, seed=_integer("seed", seed))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
     """Run one scenario and write its outputs; returns the exit code.
 
-    ``threads`` has no effect: replicates run one after another, since the
-    steppers are Python loops that threads would only serialize.
+    ``threads`` has no effect and is kept only for callers that still pass it:
+    replicates run one after another.
     """
     spec = _REGISTRY[cfg.scenario]
     started = time.time()
@@ -551,18 +555,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
     return 0 if all_hold else 3
 
 
-def _thread_budget(flag_value) -> int:
-    env = os.environ.get("VARORDER_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"VARORDER_THREADS={env!r} is not an integer") from exc
-    return max(1, int(flag_value)) if flag_value else 1
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like config errors; argparse's own code 2 would
+    read as a model error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: config error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="varorder",
         description="Exact and simulated comparisons of data-augmentation "
                     "MCMC refreshment schemes.")
@@ -573,9 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config's base seed")
     run_p.add_argument("--out-dir", default=".",
                        help="directory for results.csv / report.json / metadata.json")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="accepted and validated but has no effect: replicates "
-                            "run sequentially (VARORDER_THREADS overrides)")
     sub.add_parser("list", help="list registry scenarios")
     desc_p = sub.add_parser("describe", help="describe one scenario")
     desc_p.add_argument("scenario")
@@ -600,12 +600,11 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        threads = _thread_budget(args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        return run_scenario(cfg, args.out_dir, threads=threads)
+        return run_scenario(cfg, args.out_dir)
     except ConfigError as exc:
         print(f"config error in scenario {cfg.scenario!r}: {exc}", file=sys.stderr)
         return 1

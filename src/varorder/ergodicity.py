@@ -1,11 +1,12 @@
 """V-geometric ergodicity certificates on finite state spaces.
 
-The geometric constants (C, rho) are fitted numerically: rho is the
-second-largest eigenvalue modulus plus a fixed margin, C is maximized over
-states and horizons so the fitted pair satisfies the V-norm decay bound by
-construction.  The summability certificate then checks the covariance bounds
-that justify the absolute-summability condition of the alternating-chain
-variance comparison.
+The geometric constants (C, rho) come in closed form from one L2(pi) norm,
+so they bound the V-norm decay at every step, not only over a fitted range:
+rho is the L2(pi) norm of P - Pi (the square root of the second eigenvalue
+of the multiplicative reversibilization P P*, Fill 1991), and C turns the
+entrywise bound it gives into a V-norm bound.  The summability certificate
+then checks the covariance bounds that justify the absolute-summability
+condition of the alternating-chain variance comparison.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FiniteKernel, FunctionVector, ProbVector
-
-RHO_MARGIN = 1e-6
-DEFAULT_N_MAX = 200
-NOISE_FLOOR = 1e-13
+from .variance import INVARIANCE_TOL, SPECTRAL_MARGIN
 
 
 class GeometricFitError(ValueError):
-    """No geometric decay: a nontrivial eigenvalue has modulus (close to) 1."""
+    """No geometric decay: the L2(pi) norm of P - Pi is (close to) 1."""
 
 
 def drift_check(P: FiniteKernel, V: FunctionVector, lam: float) -> tuple[bool, float]:
@@ -35,69 +33,46 @@ def drift_check(P: FiniteKernel, V: FunctionVector, lam: float) -> tuple[bool, f
     return bool(np.isfinite(b)), b
 
 
-def _slem(P: FiniteKernel) -> float:
-    """Second-largest eigenvalue modulus; errors when 1 is not simple."""
-    eigs = np.linalg.eigvals(P.matrix)
-    near_one = np.abs(eigs - 1.0) < 1e-9
-    if int(near_one.sum()) != 1:
-        raise GeometricFitError("eigenvalue 1 is not simple (reducible kernel)")
-    rest = np.abs(eigs[~near_one])
-    return float(rest.max()) if rest.size else 0.0
-
-
-def geometric_bound_fit(P: FiniteKernel, pi: ProbVector, V: FunctionVector,
-                        n_max: int = DEFAULT_N_MAX) -> tuple[float, float, int]:
-    """Fit (C, rho) with ||P^n(x,.) - pi||_V <= C rho^n V(x) wherever that
-    distance is above NOISE_FLOOR, for n up to the returned horizon: the first
-    step at which no row of P^n - Pi is above the floor (n_max if some row is
-    still live there).  Stopping there loses nothing: row x of P^{n+1} = P P^n
-    is a convex combination of the rows of P^n, so max_x ||P^n(x,.) - pi||_V
-    never increases with n, and once every row is at the floor none can rise
-    in exact arithmetic.  A later rise in floating point is round-off (the
-    stored rows sum to 1 only to within ~1e-16, and P^n compounds that),
-    which is what the floor ignores.
-    """
-    slem = _slem(P)
-    if slem >= 1.0 - 1e-9:
-        raise GeometricFitError(f"second eigenvalue modulus {slem:.12f} too close to 1")
-    if np.any(V.values < 1.0):
-        raise ValueError("V must be >= 1 entrywise")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    rho = slem + RHO_MARGIN
-    C = 0.0
-    Pn = np.eye(P.size)
-    for step in range(n_max + 1):
-        dist = np.sum(np.abs(Pn - pi.weights) * V.values, axis=-1)  # V-norm per start x
-        live = dist > NOISE_FLOOR  # rows converged to float round-off would inflate C
-        if not live.any():
-            break
-        C = max(C, float(np.max(dist[live] / (rho ** step * V.values[live]))))
-        Pn = Pn @ P.matrix
-    return max(C, 1.0), rho, step
-
-
 @dataclass(frozen=True)
 class DriftCertificate:
     V: FunctionVector
     lam: float
     b: float
     C: float
-    rho: float
-    horizon: int  # step at which the geometric fit stopped
+    rho: float  # L2(pi) norm of P - Pi
 
     def to_document(self) -> dict:
         return {"V": self.V.values.tolist(), "lambda": self.lam, "b": self.b,
-                "C": self.C, "rho": self.rho, "horizon": self.horizon}
+                "C": self.C, "rho": self.rho}
 
 
 def fit_certificate(P: FiniteKernel, pi: ProbVector, V: FunctionVector,
-                    lam: float = 0.9, n_max: int = DEFAULT_N_MAX) -> DriftCertificate:
+                    lam: float = 0.9) -> DriftCertificate:
+    """Drift constants plus (C, rho) with ||P^n(x,.) - pi||_V <= C rho^n V(x)
+    for every n >= 0, for a kernel P that leaves pi invariant.
+
+    With D = diag(pi), rho is the spectral norm of A = D^{1/2} (P - Pi) D^{-1/2}
+    (the root of the top eigenvalue of A^T A).  For n >= 1, P^n - Pi =
+    (P - Pi)^n, so |P^n(x,y) - pi(y)| <= rho^n sqrt(pi(y)/pi(x)); at n = 0 the
+    same holds because pi(x) pi(y) <= 1.  Summing against V gives
+    C = max_x sum_y sqrt(pi(y)/pi(x)) V(y)/V(x).  A product of pi-reversible
+    kernels has rho <= 1, and rho is at least the second-largest eigenvalue
+    modulus, so rho < 1 - SPECTRAL_MARGIN rejects reducible and periodic P.
+    """
     holds, b = drift_check(P, V, lam)
     if not holds:
         raise GeometricFitError("drift bound is non-finite")
-    C, rho, horizon = geometric_bound_fit(P, pi, V, n_max=n_max)
-    return DriftCertificate(V=V, lam=lam, b=b, C=C, rho=rho, horizon=horizon)
+    resid = np.max(np.abs(pi.weights @ P.matrix - pi.weights))
+    if resid > INVARIANCE_TOL:
+        raise ValueError(f"pi is not invariant for P (residual {resid:.3e})")
+    root = np.sqrt(pi.weights)
+    A = root[:, None] * (P.matrix - pi.weights) / root
+    rho = float(np.sqrt(np.linalg.eigvalsh(A.T @ A)[-1]))
+    if not rho < 1.0 - SPECTRAL_MARGIN:
+        raise GeometricFitError(f"L2(pi) norm of P - Pi is {rho:.12f}, not below 1")
+    weighted = root * V.values
+    C = float(np.sum(weighted) / np.min(weighted))
+    return DriftCertificate(V=V, lam=lam, b=b, C=C, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -120,8 +95,7 @@ class SummabilityReport:
 
 def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
                             f: FunctionVector, V: FunctionVector,
-                            n_horizon: int = 50,
-                            n_max: int = DEFAULT_N_MAX) -> SummabilityReport:
+                            n_horizon: int = 50) -> SummabilityReport:
     """Verify the four geometric covariance bounds of the alternating chain
     against exactly computed covariances.
 
@@ -129,7 +103,7 @@ def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
     |Pf|_{V^{1/2}} <= 1; general f is rescaled and the scale reported.
     """
     PQ = FiniteKernel(P.matrix @ Q.matrix, P.space)
-    cert = fit_certificate(PQ, pi, V, n_max=n_max)
+    cert = fit_certificate(PQ, pi, V)
     fbar = f.values - float(np.sum(pi.weights * f.values))
     vhalf = np.sqrt(V.values)
     f_norm = float(np.max(np.abs(fbar) / vhalf))

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -119,14 +121,32 @@ def test_assertion_failure_exits_3(tmp_path, monkeypatch):
     assert report["all_hold"] is False
 
 
-def test_env_var_overrides_threads_flag(monkeypatch):
-    monkeypatch.setenv("VARORDER_THREADS", "4")
-    assert cli._thread_budget(1) == 4
-    monkeypatch.setenv("VARORDER_THREADS", "zero")
-    with pytest.raises(cli.ConfigError):
-        cli._thread_budget(1)
-    monkeypatch.delenv("VARORDER_THREADS")
-    assert cli._thread_budget(2) == 2
+@pytest.mark.parametrize("flags", [["--seed", "x"], ["--bogus"], ["--threads", "2"]])
+def test_usage_errors_exit_1_without_a_traceback(tmp_path, flags):
+    """A bad command line is a config error (exit 1), not a model error (2)."""
+    cfg = write_config(tmp_path, {"scenario": "remark14"})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = str(tmp_path / "o")
+    done = subprocess.run([sys.executable, "-m", "varorder.cli", "run", cfg,
+                           "--out-dir", out, *flags],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "config error" in done.stderr and "usage:" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("scenario", ["remark14", "abc-random-refresh",
+                                      "ergodicity-certificates"])
+def test_replicates_are_config_errors_where_no_runner_uses_them(tmp_path, capsys,
+                                                                scenario):
+    """metadata.json would list replicate seeds that no run used."""
+    doc = {"scenario": scenario, "replicates": 2, "chain_length": 500}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    assert "rmcmc-gaussian takes replicates > 1" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "metadata.json"))
 
 
 def test_every_registry_scenario_runs(tmp_path):
@@ -189,8 +209,7 @@ def test_simulation_rows_are_labeled_by_how_they_were_made(tmp_path):
     for doc in ({"scenario": "rmcmc-gaussian", "chain_length": 2000, "replicates": 3},
                 {"scenario": "abc-random-refresh", "chain_length": 500}):
         out = str(tmp_path / doc["scenario"])
-        assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out,
-                         "--threads", "2"]) == 0
+        assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 0
         with open(os.path.join(out, "results.csv")) as fh:
             rows = list(csv.DictReader(fh))
         for r in rows:

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from varorder import exactify, toys
-from varorder.ergodicity import (DEFAULT_N_MAX, NOISE_FLOOR, RHO_MARGIN,
-                                 DriftCertificate, GeometricFitError, _slem,
-                                 drift_check, fit_certificate,
-                                 geometric_bound_fit, summability_certificate)
+from varorder.ergodicity import (DriftCertificate, GeometricFitError, drift_check,
+                                 fit_certificate, summability_certificate)
 from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
                               constant_kernel, random_reversible_kernel)
 from test_exactify import random_model
@@ -40,20 +38,36 @@ def test_drift_check_validates_inputs():
         drift_check(constant_kernel(pi), V, lam=1.5)
 
 
-# ---- geometric fit ----
+# ---- geometric certificate ----
+
+def v_distances(P, pi, V, n_max):
+    """Rows ||P^n(x,.) - pi||_V for n = 0..n_max, by repeated dense products."""
+    out, Pn = [], np.eye(P.size)
+    for _ in range(n_max + 1):
+        out.append(np.sum(np.abs(Pn - pi.weights) * V.values, axis=-1))
+        Pn = Pn @ P.matrix
+    return np.array(out)
+
+
+def assert_bound_dominates(cert, P, pi, V, n_max):
+    """C rho^n V(x), plus round-off of (n + 1) 1e-12, bounds every row at every n <= n_max."""
+    n = np.arange(n_max + 1)[:, None]
+    bound = cert.C * cert.rho ** n * V.values + (n + 1) * 1e-12
+    dist = v_distances(P, pi, V, n_max)
+    assert np.all(dist <= bound), np.argwhere(dist > bound)[:3]
+
 
 def test_geometric_fit_bound_extends_beyond_fit_horizon():
-    """(C, rho) fitted on n <= 60 keep bounding the V-distance at n <= 200,
-    because rho deliberately exceeds the second eigenvalue modulus."""
+    """The certificate has no horizon: the entrywise bound it rests on,
+    |P^n(x,y) - pi(y)| <= rho^n sqrt(pi(y)/pi(x)), holds at every n <= 400."""
     m, pi, V = registry_pieces()
     K = exactify.extract_kernel("systematic", m).kernel
-    C, rho, _ = geometric_bound_fit(K, pi, V, n_max=60)
+    rho = fit_certificate(K, pi, V).rho
     assert 0 < rho < 1
-    Pn = np.eye(K.size)
-    for n in range(200):
-        for x in range(K.size):
-            dist = np.sum(np.abs(Pn[x] - pi.weights) * V.values)  # ||P^n(x,.) - pi||_V
-            assert dist <= C * rho ** n * V.values[x] * (1 + 1e-9) + 1e-12
+    ratio = np.sqrt(pi.weights[None, :] / pi.weights[:, None])
+    Pn = K.matrix.copy()
+    for n in range(1, 401):
+        assert np.all(np.abs(Pn - pi.weights) <= rho ** n * ratio + 1e-14), n
         Pn = Pn @ K.matrix
 
 
@@ -62,26 +76,15 @@ def test_geometric_fit_requires_v_at_least_one():
     K = exactify.extract_kernel("systematic", m).kernel
     V = FunctionVector(np.full(pi.space.size, 0.5), pi.space)
     with pytest.raises(ValueError, match="V must be >= 1"):
-        geometric_bound_fit(K, pi, V)
+        fit_certificate(K, pi, V)
 
 
-def full_horizon_fit(P, pi, V, n_max=200):
-    """The fit without its exit, examining every step up to n_max.  Returns
-    (C, rho), the first step at which no row is live, max(C, 1) over the
-    steps before that one, and whether a row was live again after it."""
-    rho = _slem(P) + RHO_MARGIN
-    C, C_before, first_dead, rose = 0.0, None, None, False
-    Pn = np.eye(P.size)
-    for step in range(n_max + 1):
-        dist = np.sum(np.abs(Pn - pi.weights) * V.values, axis=-1)
-        live = dist > NOISE_FLOOR
-        if live.any():
-            C = max(C, float(np.max(dist[live] / (rho ** step * V.values[live]))))
-            rose = rose or first_dead is not None
-        elif first_dead is None:
-            first_dead, C_before = step, max(C, 1.0)
-        Pn = Pn @ P.matrix
-    return max(C, 1.0), rho, first_dead, C_before, rose
+def test_certificate_requires_an_invariant_pi():
+    m, pi, V = registry_pieces()
+    K = exactify.extract_kernel("systematic", m).kernel
+    other = ProbVector(np.full(pi.space.size, 1.0 / pi.space.size), pi.space)
+    with pytest.raises(ValueError, match="not invariant"):
+        fit_certificate(K, other, V)
 
 
 def fit_cases():
@@ -100,30 +103,46 @@ def fit_cases():
     return cases
 
 
-def test_geometric_fit_equals_the_full_horizon_fit():
-    """Stopping at the first step with no live row leaves (C, rho) bit-identical."""
+def test_certificate_dominates_the_v_distance_at_every_step():
+    """Against the 200-step V-distance oracle: C rho^n V(x) bounds every row,
+    and rho lies between the spectral radius of P - Pi and 1."""
     for i, (K, pi, V) in enumerate(fit_cases()):
-        C, rho, horizon = geometric_bound_fit(K, pi, V)
-        C_full, rho_full, first_dead, _, _ = full_horizon_fit(K, pi, V)
-        assert (C, rho) == (C_full, rho_full), i
-        assert horizon == (DEFAULT_N_MAX if first_dead is None else first_dead), i
+        cert = fit_certificate(K, pi, V)
+        spectral_radius = np.max(np.abs(np.linalg.eigvals(K.matrix - pi.weights)))
+        assert spectral_radius <= cert.rho * (1 + 1e-12) and cert.rho < 1.0, i
+        assert_bound_dominates(cert, K, pi, V, 200)
 
 
-def test_geometric_fit_stops_before_round_off_rises():
-    """On this kernel the V-distance reaches the floor (at step 24) and later
-    climbs back above it: the stored rows sum to 1 only within about 3e-16,
-    and P^n compounds that defect step by step.  Fitting those steps divides
-    round-off by rho^n and inflates C past 1e100; the fit stops at the floor
-    and keeps the C of the steps before it."""
+def test_certificate_constants_match_their_definitions():
+    """rho^2 is the second eigenvalue of Fill's multiplicative reversibilization
+    P P*, with P*(x,y) = pi(y) P(y,x) / pi(x), and C is the state-by-state
+    maximum of sum_y sqrt(pi(y)/pi(x)) V(y)/V(x)."""
+    for i, (K, pi, V) in enumerate(fit_cases()):
+        cert = fit_certificate(K, pi, V)
+        w, P = pi.weights, K.matrix
+        reversal = P.T * w[None, :] / w[:, None]
+        eigs = np.sort(np.linalg.eigvals(P @ reversal).real)
+        assert cert.rho ** 2 == pytest.approx(eigs[-2], rel=1e-10, abs=1e-14), i
+        C = max(sum(np.sqrt(w[y] / w[x]) * V.values[y] / V.values[x] for y in range(K.size))
+                for x in range(K.size))
+        assert cert.C == pytest.approx(C, rel=1e-12), i
+
+
+def test_certificate_is_unmoved_by_round_off():
+    """On this kernel the V-distance reaches its round-off plateau (about
+    1e-13) by step 24 and then climbs, as P^n compounds the rows' 3e-16
+    defect from summing to 1.  A fit over those steps would divide the
+    round-off by rho^n; the closed form never looks at P^n, and its bound
+    stays above the plateau's slow climb up to step 200."""
     m = random_model(np.random.default_rng(2649), 2, 5)
     pi = m.joint_pi
     V = FunctionVector(pi.weights.max() / pi.weights, pi.space)
     K = exactify.extract_kernel("systematic", m).kernel
-    C, rho, horizon = geometric_bound_fit(K, pi, V)
-    C_full, rho_full, first_dead, C_before, rose = full_horizon_fit(K, pi, V)
-    assert rose and horizon == first_dead
-    assert (C, rho) == (C_before, rho_full)
-    assert C < 10.0 and C_full > 1e20 * C
+    cert = fit_certificate(K, pi, V)
+    dist = v_distances(K, pi, V, 200).max(axis=1)
+    assert dist[24] < 1e-12 and dist[200] > dist[24]
+    assert cert.C < 100.0 and cert.rho < 1.0
+    assert_bound_dominates(cert, K, pi, V, 200)
 
 
 def test_reducible_kernel_has_no_certificate():
@@ -131,14 +150,14 @@ def test_reducible_kernel_has_no_certificate():
     pi = toys.uniform_two_state()
     V = FunctionVector([1.0, 1.0], sp)
     with pytest.raises(GeometricFitError):
-        geometric_bound_fit(FiniteKernel(np.eye(2), sp), pi, V)
+        fit_certificate(FiniteKernel(np.eye(2), sp), pi, V)
 
 
 def test_periodic_kernel_has_no_certificate():
     pi = toys.uniform_two_state()
     V = FunctionVector([1.0, 1.0], pi.space)
     with pytest.raises(GeometricFitError):
-        geometric_bound_fit(toys.flip_kernel(), pi, V)
+        fit_certificate(toys.flip_kernel(), pi, V)
 
 
 def test_fit_certificate_document_roundtrip():
@@ -147,7 +166,7 @@ def test_fit_certificate_document_roundtrip():
     cert = fit_certificate(K, pi, V, lam=0.95)
     assert isinstance(cert, DriftCertificate)
     doc = cert.to_document()
-    assert set(doc) == {"V", "lambda", "b", "C", "rho", "horizon"}
+    assert set(doc) == {"V", "lambda", "b", "C", "rho"}
     assert doc["rho"] == cert.rho
 
 

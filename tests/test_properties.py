@@ -4,9 +4,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from varorder.ergodicity import fit_certificate
 from varorder.exactify import (ALGORITHMS, FiniteAugmentedModel, extract_kernel,
                                stationary_distribution)
-from varorder.kernels import ENTRY_TOL, StateSpace
+from varorder.kernels import (ENTRY_TOL, FiniteKernel, FunctionVector, StateSpace,
+                              random_reversible_kernel)
+from test_ergodicity import assert_bound_dominates
 
 
 @st.composite
@@ -37,3 +40,18 @@ def test_extracted_kernels_are_stochastic_with_the_target_law(m):
             continue  # the noisy chain does not leave the target invariant
         target = m.pi_star if alg == "marginal_mh" else m.joint_pi.weights
         assert np.max(np.abs(stationary_distribution(K).weights - target)) <= ENTRY_TOL, alg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1))
+def test_certificate_of_a_reversible_product_dominates_its_v_distance(n, seed):
+    """P and Q pi-reversible on a shared pi: the certificate of PQ has
+    rho <= 1 and bounds ||(PQ)^n(x,.) - pi||_V for n <= 50."""
+    rng = np.random.default_rng(seed)
+    P, pi = random_reversible_kernel(rng, n)
+    Q, _ = random_reversible_kernel(rng, n, pi)
+    PQ = FiniteKernel(P.matrix @ Q.matrix, pi.space)
+    V = FunctionVector(pi.weights.max() / pi.weights, pi.space)
+    cert = fit_certificate(PQ, pi, V)
+    assert cert.rho <= 1.0
+    assert_bound_dominates(cert, PQ, pi, V, 50)
