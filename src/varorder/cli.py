@@ -80,12 +80,6 @@ class ScenarioConfig:
     replicates: int
     seed: int
 
-    def __post_init__(self):
-        if self.chain_length < 0:
-            raise ConfigError("chain length must be >= 0")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -117,12 +111,23 @@ def _number(name: str, value, low: float = 0.0, high: float = math.inf) -> float
     raise ConfigError(f"{name} must be a number in ({low}, {high}), got {value!r}")
 
 
-def _count_param(cfg: ScenarioConfig, name: str, default: int) -> int:
+def _count(name: str, value) -> int:
     """A count parameter; zero items would make its assertion hold vacuously."""
-    count = _integer(name, cfg.params.get(name, default))
+    count = _integer(name, value)
     if count < 1:
         raise ConfigError(f"{name} must be >= 1, got {count}")
     return count
+
+
+def _epsilons(name: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number("epsilon", e, high=1.0) for e in value]
+
+
+# one parser per scenario parameter name; positive numbers go through _number
+PARAM_PARSERS = {"horizon": _count, "pairs": _count, "functions": _count, "tries": _count,
+                 "step": _number, "h": _number, "epsilons": _epsilons}
 
 
 def _stationary_y_tv_gap(K: FiniteKernel, m: exactify.FiniteAugmentedModel) -> float:
@@ -141,10 +146,7 @@ def _run_remark14(cfg: ScenarioConfig) -> ScenarioResult:
     f = toys.identity_function()
     I = identity_kernel(pi.space)
     Pi = constant_kernel(pi)
-    epsilons = cfg.params["epsilons"]
-    if not isinstance(epsilons, list):
-        raise ConfigError(f"epsilons must be a list of numbers, got {epsilons!r}")
-    for eps in [_number("epsilon", e, high=1.0) for e in epsilons]:
+    for eps in cfg.params["epsilons"]:
         Q0 = toys.q0_kernel(eps)
         v0 = asvar_homogeneous(compose(I, Q0), pi, f).value
         v1 = asvar_homogeneous(compose(Pi, Q0), pi, f).value
@@ -179,7 +181,7 @@ def _run_flip(cfg: ScenarioConfig) -> ScenarioResult:
                 method="closed_form", seed=cfg.seed)
         res.check("summability precondition rejected",
                   exc.spectral_radius >= 1.0 - 1e-9, str(exc))
-    horizon = _count_param(cfg, "horizon", 40)
+    horizon = cfg.params["horizon"]
     variances = alternating_partial_sum_variance(m, horizon, prefixes=True).tolist()
     worst = 0.0
     for n in range(1, horizon + 1):
@@ -198,7 +200,7 @@ def _run_flip(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_theorem4_pairs(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    n_pairs = _count_param(cfg, "pairs", 200)
+    n_pairs = cfg.params["pairs"]
     rng = RngStream("theorem4-random-pairs", cfg.seed).generator
     by_size = {}
     for _ in range(n_pairs):
@@ -223,7 +225,7 @@ def _ordering_rows(res: ScenarioResult, m, cfg: ScenarioConfig,
     """Exact per-algorithm variances for random functions of y; returns the
     worst margins of each refreshment flavor against the freeze baseline."""
     rng = RngStream(cfg.scenario, cfg.seed).generator
-    F_y = rng.normal(size=(_count_param(cfg, "functions", 20), m.Y.size))
+    F_y = rng.normal(size=(cfg.params["functions"], m.Y.size))
     F = np.repeat(F_y, m.U.size, axis=1)  # each function of y lifted to (y, u)
     pi = m.joint_pi.weights
     vals = {a: asvar_homogeneous_stack(exactify.extract_kernel(a, m).kernel.matrix, pi, F)[0]
@@ -304,7 +306,7 @@ def _run_marginal_mh_peskun(cfg: ScenarioConfig) -> ScenarioResult:
     res.check("marginal MH dominates systematic refreshment off-diagonal",
               cert.holds, f"off_diagonal_order_check; witness {cert.witness!r}")
     rng = RngStream(cfg.scenario, cfg.seed).generator
-    F = rng.normal(size=(_count_param(cfg, "functions", 20), m.Y.size))
+    F = rng.normal(size=(cfg.params["functions"], m.Y.size))
     v_sys, v_mh = (asvar_homogeneous_stack(K.matrix, m.pi_star, F)[0] for K in (sys_y, mh_y))
     min_margin = float(np.min(v_sys - v_mh))
     res.add("marginal_mh", "min_margin_vs_systematic", min_margin, seed=cfg.seed)
@@ -326,7 +328,7 @@ def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
     res.add("gmtm", "n1_vs_mh_max_gap", worst, seed=cfg.seed)
     res.check("single-try acceptance collapses to standard MH",
               worst <= EXACT_TOL, f"max log-ratio gap {worst!r}")
-    mn = toys.gmtm_toy(_count_param(cfg, "tries", 2))
+    mn = toys.gmtm_toy(cfg.params["tries"])
     direct = gmtm_exact_kernel(mn)
     pi_tab = {y: math.exp(mn.log_pi_star(y)) for y in mn.support}
     emb_model = gmtm_embedding_model(mn, pi_tab)
@@ -341,7 +343,7 @@ def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_rmcmc_gaussian(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    model = toys.gaussian_rmcmc_model(step=_number("step", cfg.params.get("step", 1.0)))
+    model = toys.gaussian_rmcmc_model(step=cfg.params["step"])
     n = cfg.chain_length
     for rep in range(cfg.replicates):
         seed = cfg.seed + rep
@@ -360,7 +362,7 @@ def _run_rmcmc_gaussian(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_abc_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
-    abc, log_prior, prop, target = toys.abc_toy(_number("h", cfg.params.get("h", 1.0)))
+    abc, log_prior, prop, target = toys.abc_toy(cfg.params["h"])
     model = abc_random_refresh_model(abc, log_prior, prop)
     rng = RngStream("abc-random-refresh", cfg.seed)
     gen = rng.generator
@@ -391,7 +393,7 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
     V = FunctionVector(1.0 / (pi.weights / pi.weights.max()), pi.space)
     rng = RngStream("ergodicity-certificates", cfg.seed).generator
     f = FunctionVector(rng.normal(size=pi.space.size), pi.space)
-    horizon = _count_param(cfg, "horizon", 50)
+    horizon = cfg.params["horizon"]
     for name, P in (("systematic", exactify.systematic_refresh_kernel(m)),
                     ("random_refresh", exactify.random_refresh_kernel(m))):
         report = summability_certificate(P, Q, pi, f, V, n_horizon=horizon)
@@ -504,14 +506,20 @@ def config_from_document(doc: dict, seed_override=None) -> ScenarioConfig:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be a JSON object, got {params!r}")
-    params = {**_REGISTRY[name].defaults, **params}
+    defaults = _REGISTRY[name].defaults
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{name} takes no params {unknown}; its params: {sorted(defaults)}")
+    params = {k: PARAM_PARSERS[k](k, params.get(k, v)) for k, v in defaults.items()}
     seed = doc.get("seed", 0) if seed_override is None else seed_override
     chain_length = _integer("chain_length", doc.get("chain_length",
                                                     DEFAULT_CHAIN_LENGTH.get(name, 0)))
-    if chain_length < MIN_CHAIN_LENGTH.get(name, 0):
-        raise ConfigError(f"{name} needs chain_length >= {MIN_CHAIN_LENGTH[name]}, "
-                          f"got {chain_length}")
+    minimum = MIN_CHAIN_LENGTH.get(name, 0)
+    if chain_length < minimum:
+        raise ConfigError(f"{name} needs chain_length >= {minimum}, got {chain_length}")
     replicates = _integer("replicates", doc.get("replicates", 1))
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
     if replicates > 1 and name not in REPLICATED:
         raise ConfigError(f"{name} runs no replicates; only "
                           f"{', '.join(sorted(REPLICATED))} takes replicates > 1")

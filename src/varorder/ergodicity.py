@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FiniteKernel, FunctionVector, ProbVector
-from .variance import INVARIANCE_TOL, SPECTRAL_MARGIN
+from .variance import SPECTRAL_MARGIN, alternating_autocov, check_invariant
 
 
 class GeometricFitError(ValueError):
@@ -62,9 +62,7 @@ def fit_certificate(P: FiniteKernel, pi: ProbVector, V: FunctionVector,
     holds, b = drift_check(P, V, lam)
     if not holds:
         raise GeometricFitError("drift bound is non-finite")
-    resid = np.max(np.abs(pi.weights @ P.matrix - pi.weights))
-    if resid > INVARIANCE_TOL:
-        raise ValueError(f"pi is not invariant for P (residual {resid:.3e})")
+    check_invariant(pi.weights, P.matrix, "P")
     root = np.sqrt(pi.weights)
     A = root[:, None] * (P.matrix - pi.weights) / root
     rho = float(np.sqrt(np.linalg.eigvalsh(A.T @ A)[-1]))
@@ -100,10 +98,12 @@ def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
     against exactly computed covariances.
 
     The bounds are stated for centered f with |f|_{V^{1/2}} <= 1 and
-    |Pf|_{V^{1/2}} <= 1; general f is rescaled and the scale reported.
+    |Pf|_{V^{1/2}} <= 1; general f is rescaled and the scale reported.  Lag
+    l >= 1 from start parity p meets bound (l - p) // 2, up to l = 2 n_horizon + 1 - p.
     """
-    PQ = FiniteKernel(P.matrix @ Q.matrix, P.space)
-    cert = fit_certificate(PQ, pi, V)
+    if n_horizon < 0:
+        raise ValueError(f"n_horizon must be >= 0, got {n_horizon}")
+    cert = fit_certificate(FiniteKernel(P.matrix @ Q.matrix, P.space), pi, V)
     fbar = f.values - float(np.sum(pi.weights * f.values))
     vhalf = np.sqrt(V.values)
     f_norm = float(np.max(np.abs(fbar) / vhalf))
@@ -111,23 +111,12 @@ def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
     scale = max(f_norm, pf_norm, 1e-300)
     g = fbar / scale
     piV = float(np.sum(pi.weights * V.values))
-    C, rho = cert.C, cert.rho
-
-    # one pass of matvecs: orbit[n] = ((PQ)^n g, (PQ)^n P g) and q_orbit[n] = Q orbit[n]
-    orbit = np.empty((n_horizon + 1, 2, g.size))
-    q_orbit = np.empty((n_horizon, 2, g.size))
-    orbit[0] = g, P.matrix @ g
-    for n in range(n_horizon):
-        q_orbit[n] = Q.matrix @ orbit[n, 0], Q.matrix @ orbit[n, 1]
-        orbit[n + 1] = PQ.matrix @ orbit[n, 0], PQ.matrix @ orbit[n, 1]
-    pig = pi.weights * g
-    bound = (2.0 * C * rho ** np.arange(n_horizon + 1)) ** 0.5 * piV
-    # X0-anchored: lag 2n -> g (PQ)^n g (n >= 1), lag 2n+1 -> g (PQ)^n P g
-    x0 = bound[:, None] - np.abs(np.sum(pig * orbit, axis=-1))
-    x0[0, 0] = np.inf
-    # X1-anchored, X1 ~ pi: lags 2n, 2n+1 -> g Q (PQ)^{n-1} (g, P g) for n >= 1
-    x1 = bound[:-1, None] - np.abs(np.sum(pig * q_orbit, axis=-1))
-    slack = min(x0.min(), x1.min(initial=np.inf))
+    bound = (2.0 * cert.C * cert.rho ** np.arange(n_horizon + 1)) ** 0.5 * piV
+    last = 2 * n_horizon + 1
+    cov = alternating_autocov(P.matrix, Q.matrix, pi.weights, g, last + 1)[1:]
+    lag, parity = np.arange(1, last + 1)[:, None], np.arange(2)
+    gaps = bound[(lag - parity) // 2] - np.abs(cov)
+    slack = np.min(gaps, where=lag <= last - parity, initial=np.inf)
     return SummabilityReport(certificate=cert, f_vhalf_norm=f_norm,
                              pf_vhalf_norm=pf_norm, scale=scale,
                              max_bound_slack=float(slack),

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import (ENTRY_TOL, FiniteKernel, ProbVector, StateSpace)
+from .kernels import FiniteKernel, ProbVector, StateSpace, check_stochastic
 from .variance import INVARIANCE_TOL, ReducibleChainError, _fundamental_solve
 
 MAX_JOINT_STATES = 256
@@ -50,35 +50,28 @@ class FiniteAugmentedModel:
         ny, nu = self.Y.size, self.U.size
         if ny * nu > MAX_JOINT_STATES:
             raise ValueError(f"joint space too large ({ny * nu} > {MAX_JOINT_STATES})")
-        object.__setattr__(self, "pi_star", np.asarray(self.pi_star, dtype=float))
-        object.__setattr__(self, "S", np.asarray(self.S, dtype=float))
-        object.__setattr__(self, "T", np.asarray(self.T, dtype=float))
-        if np.any(self.pi_star <= 0):
-            raise ValueError("pi_star must be strictly positive")
-        if abs(self.pi_star.sum() - 1.0) > ENTRY_TOL:
-            raise ValueError("pi_star must be normalized")
-        if self.r is None and self.rcheck is None:
-            raise ValueError("either r or (rcheck, w) must be supplied")
+        tables = ("pi_star", "r", "rcheck", "S", "T")
+        for name in tables + ("w",):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.rcheck is not None:
             if self.w is None:
                 raise ValueError("rcheck requires the weight table w")
-            object.__setattr__(self, "rcheck", np.asarray(self.rcheck, dtype=float))
-            object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
             derived = self.rcheck * self.w
-            if self.r is not None:
-                if np.max(np.abs(np.asarray(self.r) - derived)) > 1e-10:
-                    raise ValueError("r and rcheck * w disagree")
+            if self.r is not None and np.max(np.abs(self.r - derived)) > 1e-10:
+                raise ValueError("r and rcheck * w disagree")
             object.__setattr__(self, "r", derived)
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        for name, mat in (("r", self.r),) + (
-                (("rcheck", self.rcheck),) if self.rcheck is not None else ()):
-            rowsum = mat.sum(axis=1)
-            if np.max(np.abs(rowsum - 1.0)) > 1e-10:
-                raise ValueError(f"{name} rows must sum to 1")
-        if np.max(np.abs(self.S.sum(axis=2) - 1.0)) > 1e-10:
-            raise ValueError("S slices must be distributions over proposed y")
-        if np.max(np.abs(self.T.sum(axis=3) - 1.0)) > 1e-10:
-            raise ValueError("T slices must be distributions over proposed u")
+        elif self.r is None:
+            raise ValueError("either r or (rcheck, w) must be supplied")
+        # pi_star and every row of r, rcheck, S (over yhat) and T (over uhat) are distributions
+        for name in tables:
+            if getattr(self, name) is not None:
+                try:
+                    check_stochastic(getattr(self, name))
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
+        if not np.all(self.pi_star > 0):
+            raise ValueError("pi_star must be strictly positive")
 
     @property
     def joint_space(self) -> StateSpace:

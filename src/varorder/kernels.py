@@ -72,9 +72,9 @@ class ProbVector:
         sp = space_ if space_ is not None else space(arr.shape[0])
         if arr.shape[0] != sp.size:
             raise ValueError("weight count does not match state space size")
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):  # NaN fails here too
             raise ValueError("probability weights must be nonnegative")
-        if abs(arr.sum() - 1.0) > ENTRY_TOL:
+        if not abs(arr.sum() - 1.0) <= ENTRY_TOL:
             raise ValueError(f"weights sum to {arr.sum()!r}, not 1")
         object.__setattr__(self, "weights", arr)
         object.__setattr__(self, "space", sp)

@@ -46,6 +46,15 @@ class VarianceReport:
             raise ValueError(f"asymptotic variance {self.value!r} is negative")
 
 
+def check_invariant(pi: np.ndarray, K: np.ndarray, name: str) -> None:
+    """ValueError unless pi K = pi within INVARIANCE_TOL (a NaN residual fails),
+    for kernels K (..., n, n) and laws pi (..., n) with broadcastable stacks."""
+    rows = pi[..., None, :]
+    resid = np.max(np.abs(rows @ K - rows))
+    if not resid <= INVARIANCE_TOL:
+        raise ValueError(f"pi is not invariant for {name} (residual {resid:.3e})")
+
+
 @dataclass(frozen=True)
 class AlternatingModel:
     """A chain applying P at even steps and Q at odd steps, started from pi."""
@@ -58,9 +67,7 @@ class AlternatingModel:
     def __post_init__(self):
         _require_same_space(self.P, self.Q)
         for name, K in (("P", self.P), ("Q", self.Q)):
-            resid = np.max(np.abs(self.pi.weights @ K.matrix - self.pi.weights))
-            if resid > INVARIANCE_TOL:
-                raise ValueError(f"pi is not invariant for {name} (residual {resid:.3e})")
+            check_invariant(self.pi.weights, K.matrix, name)
 
 
 def _centered(f: FunctionVector, pi: ProbVector) -> np.ndarray:
@@ -132,9 +139,7 @@ def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
     solve, a column per function.  ReducibleChainError when its ||.^-1||_1
     estimate exceeds 1 / EIGENVALUE_ONE_TOL (eigenvalue 1 of P not simple).
     """
-    resid = np.max(np.abs(pi @ P - pi))
-    if resid > INVARIANCE_TOL:
-        raise ValueError(f"pi is not invariant for P (residual {resid:.3e})")
+    check_invariant(pi, P, "P")
     fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
     g = _fundamental_solve(P, pi, P @ fbar.T)
     w = pi * fbar
@@ -160,10 +165,8 @@ def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray]:
     (worst rho) when some rho >= 1 - SPECTRAL_MARGIN.
     """
     D = np.stack([P, Q], axis=-3)
+    check_invariant(pi[..., None, :], D, "some P or Q")
     pi_rows = pi[..., None, None, :]  # the rows of 1 pi^T, against (..., 2, n, n)
-    resid = np.max(np.abs(pi_rows @ D - pi_rows))
-    if resid > INVARIANCE_TOL:
-        raise ValueError(f"pi is not invariant for some P or Q (residual {resid:.3e})")
     M = D @ D[..., ::-1, :, :]  # PQ and QP
     rho = np.max(np.abs(np.linalg.eigvals(M[..., 0, :, :] - pi[..., None, :])), axis=-1)
     if np.any(rho >= 1.0 - SPECTRAL_MARGIN):
@@ -191,35 +194,35 @@ def asvar_alternating(m: AlternatingModel) -> VarianceReport:
                           diagnostics={"spectral_radius": float(rho)})
 
 
-def truncated_autocov_series(m: AlternatingModel, K: int) -> VarianceReport:
-    """Series oracle: both covariance series truncated at lag K.
+def alternating_autocov(P: np.ndarray, Q: np.ndarray, pi: np.ndarray,
+                        fbar: np.ndarray, n: int) -> np.ndarray:
+    """cov[l, p] = Cov(f(X_i), f(X_{i+l})) for lags l < n and start parity
+    p = i mod 2 of the alternating P,Q,P,Q,... chain from pi, for centered fbar.
+    Row p of w is fbar dpi pushed through the l kernels after a start of
+    parity p, so each lag is one stacked matmul by (P, Q) or (Q, P)."""
+    orders = np.array([[P, Q], [Q, P]])  # lag 2k+1 applies orders[0], lag 2k+2 orders[1]
+    w = np.stack([pi * fbar] * 2)[:, None, :]
+    cov = np.empty((n, 2))
+    for lag in range(n):
+        if lag:
+            w = w @ orders[(lag - 1) % 2]
+        cov[lag] = w[:, 0] @ fbar
+    return cov
 
-    Independent of the linear-solve path in asvar_alternating; the reported
-    remainder bound is the geometric tail 4 rho^K pi(fbar^2) / (1 - rho).
-    """
+
+def truncated_autocov_series(m: AlternatingModel, K: int) -> VarianceReport:
+    """Series oracle: both covariance series of alternating_autocov truncated
+    at lag K, independent of the linear-solve path in asvar_alternating.  The
+    remainder bound is the geometric tail 4 rho^K pi(fbar^2) / (1 - rho), with
+    rho from PQ - 1 pi^T alone (QP - 1 pi^T has the same nonzero spectrum)."""
     if K < 1:
         raise ValueError("truncation length must be >= 1")
-    P, Q = m.P.matrix, m.Q.matrix
-    A, B, Pd, Qd = (M - m.pi.weights for M in (P @ Q, Q @ P, P, Q))  # M - 1 pi^T
-    fbar = _centered(m.f, m.pi)
-    var_f = _inner(m.pi, fbar, fbar)
-    total = var_f
-    # running vectors A^n fbar, B^n fbar and A^n P fbar, B^n Q fbar
-    va, vb = fbar.copy(), fbar.copy()
-    vpa, vqb = Pd @ fbar, Qd @ fbar
-    for lag in range(1, K + 1):
-        if lag % 2 == 1:  # lag 2n+1 terms (PQ)^n P fbar and (QP)^n Q fbar
-            total += _inner(m.pi, fbar, vpa) + _inner(m.pi, fbar, vqb)
-        else:
-            va, vb = A @ va, B @ vb
-            vpa, vqb = A @ vpa, B @ vqb
-            total += _inner(m.pi, fbar, va) + _inner(m.pi, fbar, vb)
-    rho = max(float(np.max(np.abs(np.linalg.eigvals(A)))),
-              float(np.max(np.abs(np.linalg.eigvals(B)))))
-    if rho < 1.0:
-        remainder = 4.0 * rho ** K * var_f / (1.0 - rho)
-    else:
-        remainder = float("inf")
+    P, Q, pi = m.P.matrix, m.Q.matrix, m.pi.weights
+    cov = alternating_autocov(P, Q, pi, _centered(m.f, m.pi), K + 1)
+    var_f = float(cov[0, 0])
+    total = var_f + float(cov[1:].sum())
+    rho = float(np.max(np.abs(np.linalg.eigvals(P @ Q - pi))))
+    remainder = 4.0 * rho ** K * var_f / (1.0 - rho) if rho < 1.0 else float("inf")
     return VarianceReport(value=max(total, 0.0), method="truncated_series",
                           diagnostics={"truncation": K, "remainder_bound": remainder,
                                        "spectral_radius": rho})
@@ -231,19 +234,14 @@ def alternating_partial_sum_variance(m: AlternatingModel, n: int, *,
     started from pi; with prefixes=True the array [Var(S_0), ..., Var(S_n)]
     from the same pass.
 
-    Cov(f(X_i), f(X_j)) depends only on i mod 2 and j - i, so one pass over
-    the lags gives every covariance; S_{k+1} adds X_k, whose covariances with
-    the earlier terms are those at lag l with start parity (k - l) mod 2.
-    Linear in n.  Covers the flip kernel, which sits outside
-    asvar_alternating's precondition.
+    S_{k+1} adds X_k, whose covariances with the earlier terms are those of
+    alternating_autocov at lag l with start parity (k - l) mod 2.  Linear in
+    n.  Covers the flip kernel, which sits outside asvar_alternating's
+    precondition.
     """
     fbar = _centered(m.f, m.pi)
-    K = np.stack([m.P.matrix, m.Q.matrix])
-    w = np.stack([m.pi.weights * fbar] * 2)  # row p: fbar dpi at a start i = p mod 2
-    cov = np.zeros((n, 2))  # cov[l, p]: Cov(f(X_i), f(X_{i+l})), i = p mod 2
-    for lag in range(1, n):
-        w = (w[:, None, :] @ K[[(lag - 1) % 2, lag % 2]])[:, 0, :]  # row p: K[(p+lag-1) % 2]
-        cov[lag] = w @ fbar
+    cov = alternating_autocov(m.P.matrix, m.Q.matrix, m.pi.weights, fbar, n)
+    cov[:1] = 0.0  # lag 0 enters once per term, as the variance below
     k = np.arange(n)
     odd = k % 2
     # X_k meets X_{k-l} at lag l; that start's parity is l's for even k

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -63,17 +64,17 @@ def test_run_writes_all_outputs_and_is_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["run", cfg, "--out-dir", out1]) == 0
     assert cli.main(["run", cfg, "--out-dir", out2]) == 0
-    csv1 = open(os.path.join(out1, "results.csv")).read()
-    csv2 = open(os.path.join(out2, "results.csv")).read()
+    csv1 = Path(os.path.join(out1, "results.csv")).read_text()
+    csv2 = Path(os.path.join(out2, "results.csv")).read_text()
     assert csv1 == csv2
     with open(os.path.join(out1, "results.csv")) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(cli.CSV_COLUMNS)
     assert all(r[0] == "remark14" for r in rows[1:])
-    report = json.loads(open(os.path.join(out1, "report.json")).read())
+    report = json.loads(Path(os.path.join(out1, "report.json")).read_text())
     assert report["all_hold"] is True
     assert all("assertion" in a and "detail" in a for a in report["assertions"])
-    meta = json.loads(open(os.path.join(out1, "metadata.json")).read())
+    meta = json.loads(Path(os.path.join(out1, "metadata.json")).read_text())
     assert meta["seed"] == 5
     assert meta["replicate_seeds"] == [5]
     assert meta["rng"] == "numpy-pcg64"
@@ -84,7 +85,7 @@ def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, {"scenario": "remark14", "seed": 5})
     out = str(tmp_path / "o")
     assert cli.main(["run", cfg, "--out-dir", out, "--seed", "9"]) == 0
-    meta = json.loads(open(os.path.join(out, "metadata.json")).read())
+    meta = json.loads(Path(os.path.join(out, "metadata.json")).read_text())
     assert meta["seed"] == 9
 
 
@@ -117,7 +118,7 @@ def test_assertion_failure_exits_3(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"scenario": "remark14"})
     out = str(tmp_path / "o")
     assert cli.main(["run", cfg, "--out-dir", out]) == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = json.loads(Path(os.path.join(out, "report.json")).read_text())
     assert report["all_hold"] is False
 
 
@@ -190,6 +191,18 @@ def test_nonpositive_count_params_are_config_errors(tmp_path, capsys, scenario,
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+@pytest.mark.parametrize("scenario, params", [
+    ("theorem4-random-pairs", {"pair": 5}), ("gimh-exactness", {"functions": 2}),
+    ("gimh-exactness", {"horizon": 40})])
+def test_unknown_params_are_config_errors(tmp_path, capsys, scenario, params):
+    """A misspelt name would run at the default and still be listed in metadata.json."""
+    doc = {"scenario": scenario, "params": params}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    assert "takes no params" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 @pytest.mark.parametrize("chain_length", [0, 150])
 def test_rmcmc_chain_too_short_for_batch_means_is_config_error(tmp_path, capsys,
                                                               chain_length):
@@ -215,7 +228,7 @@ def test_simulation_rows_are_labeled_by_how_they_were_made(tmp_path):
         for r in rows:
             made_by_batch_means = r["metric"] == "mean" and r["stderr"] != "nan"
             assert (r["method"] == "batch_means") == made_by_batch_means, r
-        meta = json.loads(open(os.path.join(out, "metadata.json")).read())
+        meta = json.loads(Path(os.path.join(out, "metadata.json")).read_text())
         assert "threads" not in meta["params"]
     with open(os.path.join(tmp_path / "rmcmc-gaussian", "results.csv")) as fh:
         rates = {r["replicate"]: float(r["value"]) for r in csv.DictReader(fh)
@@ -236,7 +249,7 @@ def test_remark14_report_names_the_function_it_called(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"scenario": "remark14"})
     assert cli.main(["run", cfg, "--out-dir", out]) == 0
     assert called
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = json.loads(Path(os.path.join(out, "report.json")).read_text())
     named = [a["detail"].split("(")[0] for a in report["assertions"]
              if a["detail"].startswith("variance.")]
     assert len(named) == 2 * len(cli.registry()["remark14"].defaults["epsilons"])
@@ -247,7 +260,7 @@ def test_metadata_tolerances_are_the_module_constants(tmp_path):
     out = str(tmp_path / "o")
     cfg = write_config(tmp_path, {"scenario": "remark14"})
     assert cli.main(["run", cfg, "--out-dir", out]) == 0
-    meta = json.loads(open(os.path.join(out, "metadata.json")).read())
+    meta = json.loads(Path(os.path.join(out, "metadata.json")).read_text())
     assert meta["tolerances"] == {"entry": kernels.ENTRY_TOL,
                                   "spectral": kernels.SPECTRAL_TOL,
                                   "ordering": cli.ORDER_TOL}
@@ -260,6 +273,7 @@ def test_metadata_tolerances_are_the_module_constants(tmp_path):
     '{"scenario": "remark14", "seed": "x"}',
     '{"scenario": "remark14", "seed": 2.5}',
     '{"scenario": "rmcmc-gaussian", "chain_length": "abc"}',
+    '{"scenario": "remark14", "chain_length": -1}',
     '{"scenario": "rmcmc-gaussian", "replicates": 1.5}',
     '{"scenario": "theorem4-random-pairs", "params": {"pairs": 2.7}}',
     '{"scenario": "gmtm-equivalence", "params": {"tries": "2"}}'])
@@ -295,7 +309,7 @@ def test_run_that_checks_no_assertion_fails(tmp_path):
     doc = {"scenario": "remark14", "params": {"epsilons": []}}
     out = str(tmp_path / "o")
     assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 3
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = json.loads(Path(os.path.join(out, "report.json")).read_text())
     assert report["assertions"] == [] and report["all_hold"] is False
 
 

@@ -234,3 +234,11 @@ def test_summability_certificate_rejects_periodic_product():
     flip = toys.flip_kernel()
     with pytest.raises(GeometricFitError):
         summability_certificate(flip, flip, pi, f, V)
+
+
+def test_summability_certificate_rejects_a_negative_horizon():
+    m, pi, V = registry_pieces()
+    f = FunctionVector(np.arange(pi.space.size, dtype=float), pi.space)
+    with pytest.raises(ValueError, match="n_horizon"):
+        summability_certificate(exactify.systematic_refresh_kernel(m),
+                                exactify.accept_kernel(m), pi, f, V, n_horizon=-1)

@@ -125,6 +125,19 @@ def test_joint_space_size_cap():
                              r=np.full((20, 20), 0.05))
 
 
+@pytest.mark.parametrize("name, index, value", [
+    ("pi_star", (0,), np.nan), ("S", (0, 0, 0), np.nan), ("S", (0, 0, 0), -0.25)])
+def test_model_tables_must_be_distributions(model, name, index, value):
+    """NaN and negative entries fail even where every row still sums to 1."""
+    table = getattr(model, name).copy()
+    if value < 0:  # move the mass to the next entry so the row sum stays 1
+        table[index[:-1] + (1,)] += table[index] - value
+    table[index] = value
+    tables = {"pi_star": model.pi_star, "S": model.S, "T": model.T, name: table}
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        FiniteAugmentedModel(Y=model.Y, U=model.U, r=model.r, **tables)
+
+
 # ---- component kernels ----
 
 @pytest.mark.parametrize("m", reference_models())

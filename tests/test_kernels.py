@@ -32,6 +32,12 @@ def test_prob_vector_must_normalize():
         ProbVector([0.5, 0.6])
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.nan, np.nan], [-0.5, 1.5]])
+def test_prob_vector_rejects_nan_and_negative_weights(weights):
+    with pytest.raises(ValueError):
+        ProbVector(weights)
+
+
 def test_kernel_rejects_bad_rows():
     with pytest.raises(ValueError):
         FiniteKernel([[0.5, 0.4], [0.5, 0.5]])

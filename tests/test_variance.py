@@ -5,9 +5,12 @@ spectral formula on two states, against the truncated covariance series,
 and against brute-force Monte Carlo on a seeded chain.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from varorder.ergodicity import fit_certificate
 from varorder.kernels import (SPECTRAL_TOL, FiniteKernel, FunctionVector,
                               ProbVector, StateSpace, constant_kernel,
                               identity_kernel, random_reversible_kernel)
@@ -254,6 +257,20 @@ def test_stack_member_without_invariant_pi_raises_value_error():
     P[1] = np.full((4, 4), 0.25)  # uniform rows leave only the uniform law invariant
     with pytest.raises(ValueError, match="not invariant"):
         asvar_alternating_stack(P, Q, pi, f)
+
+
+@pytest.mark.parametrize("engine", ["homogeneous", "alternating", "certificate"])
+def test_nan_pi_is_not_invariant(engine):
+    rng = np.random.default_rng(67)
+    P, Q, pi, f = random_pair_arrays(rng, 3)
+    pi = np.array([np.nan, *pi[1:]])
+    # ProbVector refuses NaN, so the certificate gets a bare holder of the weights
+    calls = {"homogeneous": lambda: asvar_homogeneous_stack(P, pi, f[None, :]),
+             "alternating": lambda: asvar_alternating_stack(P, Q, pi, f),
+             "certificate": lambda: fit_certificate(FiniteKernel(P), SimpleNamespace(weights=pi),
+                                                    FunctionVector(np.ones(3)))}
+    with pytest.raises(ValueError, match="not invariant"):
+        calls[engine]()
 
 
 def quadratic_partial_sum_variance(m, n):
