@@ -87,6 +87,8 @@ class ScenarioSpec:
     description: str
     runner: Callable[[ScenarioConfig], ScenarioResult]
     defaults: dict = field(default_factory=dict)
+    chain_length: tuple[int, int] | None = None  # (default, minimum) if it runs a chain
+    replicated: bool = False  # its runner loops over cfg.replicates
 
 
 # ---------------------------------------------------------------------------
@@ -463,24 +465,20 @@ _REGISTRY = {spec.name: spec for spec in (
         "rmcmc-gaussian",
         "Involution-form random-walk sampler on a standard Gaussian: moment "
         "recovery with batch-means error bars.",
-        _run_rmcmc_gaussian, {"step": 1.0}),
+        _run_rmcmc_gaussian, {"step": 1.0},
+        # batch means with its default 100 batches needs two draws per batch
+        chain_length=(100_000, 200), replicated=True),
     ScenarioSpec(
         "abc-random-refresh",
         "Discrete ABC toy run with random refreshment; empirical law checked "
         "against the exactly computed smoothed posterior.",
-        _run_abc_random_refresh, {"h": 1.0}),
+        _run_abc_random_refresh, {"h": 1.0}, chain_length=(100_000, 0)),
     ScenarioSpec(
         "ergodicity-certificates",
         "Drift and geometric-decay certificates plus covariance bounds for the "
         "registry toy's refreshment chains.",
         _run_ergodicity, {"horizon": 50}),
 )}
-
-DEFAULT_CHAIN_LENGTH = {"rmcmc-gaussian": 100_000, "abc-random-refresh": 100_000}
-# batch means with its default 100 batches needs two draws per batch
-MIN_CHAIN_LENGTH = {"rmcmc-gaussian": 200}
-# the only runner that loops over cfg.replicates
-REPLICATED = {"rmcmc-gaussian"}
 
 
 def registry() -> dict:
@@ -506,23 +504,28 @@ def config_from_document(doc: dict, seed_override=None) -> ScenarioConfig:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be a JSON object, got {params!r}")
-    defaults = _REGISTRY[name].defaults
-    unknown = sorted(set(params) - set(defaults))
+    spec = _REGISTRY[name]
+    unknown = sorted(set(params) - set(spec.defaults))
     if unknown:
-        raise ConfigError(f"{name} takes no params {unknown}; its params: {sorted(defaults)}")
-    params = {k: PARAM_PARSERS[k](k, params.get(k, v)) for k, v in defaults.items()}
+        raise ConfigError(f"{name} takes no params {unknown}; its params: {sorted(spec.defaults)}")
+    params = {k: PARAM_PARSERS[k](k, params.get(k, v)) for k, v in spec.defaults.items()}
     seed = doc.get("seed", 0) if seed_override is None else seed_override
-    chain_length = _integer("chain_length", doc.get("chain_length",
-                                                    DEFAULT_CHAIN_LENGTH.get(name, 0)))
-    minimum = MIN_CHAIN_LENGTH.get(name, 0)
-    if chain_length < minimum:
-        raise ConfigError(f"{name} needs chain_length >= {minimum}, got {chain_length}")
     replicates = _integer("replicates", doc.get("replicates", 1))
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    if replicates > 1 and name not in REPLICATED:
+    if replicates > 1 and not spec.replicated:
+        replicated = sorted(n for n, s in _REGISTRY.items() if s.replicated)
         raise ConfigError(f"{name} runs no replicates; only "
-                          f"{', '.join(sorted(REPLICATED))} takes replicates > 1")
+                          f"{', '.join(replicated)} takes replicates > 1")
+    chain_length = 0  # what metadata.json records for a scenario that runs no chain
+    if spec.chain_length is None:
+        if "chain_length" in doc:
+            raise ConfigError(f"{name} runs no chain, so it takes no chain_length")
+    else:
+        default, minimum = spec.chain_length
+        chain_length = _integer("chain_length", doc.get("chain_length", default))
+        if chain_length < minimum:
+            raise ConfigError(f"{name} needs chain_length >= {minimum}, got {chain_length}")
     return ScenarioConfig(scenario=name, params=params, chain_length=chain_length,
                           replicates=replicates, seed=_integer("seed", seed))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FiniteKernel, FunctionVector, ProbVector
-from .variance import SPECTRAL_MARGIN, alternating_autocov, check_invariant
+from .variance import SPECTRAL_MARGIN, alternating_autocov, check_invariant, l2_norm
 
 
 class GeometricFitError(ValueError):
@@ -63,12 +63,10 @@ def fit_certificate(P: FiniteKernel, pi: ProbVector, V: FunctionVector,
     if not holds:
         raise GeometricFitError("drift bound is non-finite")
     check_invariant(pi.weights, P.matrix, "P")
-    root = np.sqrt(pi.weights)
-    A = root[:, None] * (P.matrix - pi.weights) / root
-    rho = float(np.sqrt(np.linalg.eigvalsh(A.T @ A)[-1]))
+    rho = float(l2_norm(P.matrix, pi.weights))
     if not rho < 1.0 - SPECTRAL_MARGIN:
         raise GeometricFitError(f"L2(pi) norm of P - Pi is {rho:.12f}, not below 1")
-    weighted = root * V.values
+    weighted = np.sqrt(pi.weights) * V.values
     C = float(np.sum(weighted) / np.min(weighted))
     return DriftCertificate(V=V, lam=lam, b=b, C=C, rho=rho)
 

@@ -9,7 +9,6 @@ exact reversibility and variance-ordering checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -225,15 +224,3 @@ def y_marginal_of(pi: ProbVector, m: FiniteAugmentedModel) -> ProbVector:
     """Project a joint-space distribution onto Y."""
     flat = pi.weights.reshape(m.Y.size, m.U.size).sum(axis=1)
     return ProbVector(flat / flat.sum(), m.Y)
-
-
-def empirical_one_step_frequencies(states: list, sp: StateSpace) -> np.ndarray:
-    """Row-normalized transition counts of a trace over labeled states."""
-    n = sp.size
-    idx = {label: i for i, label in enumerate(sp.labels)}
-    counts = np.zeros((n, n))
-    for a, b in itertools.pairwise(states):
-        counts[idx[a], idx[b]] += 1.0
-    rows = counts.sum(axis=1, keepdims=True)
-    rows[rows == 0] = 1.0
-    return counts / rows

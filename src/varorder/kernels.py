@@ -196,8 +196,7 @@ def detailed_balance_check(P: FiniteKernel, pi: ProbVector,
 
 
 def covariance_order_check(P0: FiniteKernel, P1: FiniteKernel, pi: ProbVector,
-                           tol: float = SPECTRAL_TOL,
-                           check_reversible: bool = True) -> OrderingCertificate:
+                           tol: float = SPECTRAL_TOL) -> OrderingCertificate:
     """Decide <f, P1 f> <= <f, P0 f> for every f.
 
     On a finite space the quadratic form difference is f^T D_pi (P0 - P1) f,
@@ -205,10 +204,9 @@ def covariance_order_check(P0: FiniteKernel, P1: FiniteKernel, pi: ProbVector,
     The matrix is explicitly symmetrized to suppress round-off asymmetry.
     """
     _require_same_space(P0, P1)
-    if check_reversible:
-        for P in (P0, P1):
-            if not detailed_balance_check(P, pi, tol=1e-9).holds:
-                raise NotReversibleError("covariance ordering requires pi-reversible kernels")
+    for P in (P0, P1):
+        if not detailed_balance_check(P, pi, tol=1e-9).holds:
+            raise NotReversibleError("covariance ordering requires pi-reversible kernels")
     D = pi.weights[:, None] * (P0.matrix - P1.matrix)
     D = (D + D.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(D)[0])
@@ -229,19 +227,6 @@ def off_diagonal_order_check(P0: FiniteKernel, P1: FiniteKernel,
     return OrderingCertificate(holds=False, witness=(int(i), int(j), float(gap[i, j])))
 
 
-def lazy_pair(P: FiniteKernel, a: float) -> tuple[FiniteKernel, FiniteKernel]:
-    """Dominated pair (P0, P1) with P1 = P and P0 the a-lazy version of P."""
-    if not 0.0 < a < 1.0:
-        raise ValueError("laziness parameter must lie in (0, 1)")
-    P0 = FiniteKernel((1.0 - a) * P.matrix + a * np.eye(P.size), P.space)
-    return P0, P
-
-
-def lag_one_autocov(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> float:
-    """<f, Pf> = sum_i pi_i f_i (Pf)_i (uncentered lag-one moment)."""
-    return float(np.sum(pi.weights * f.values * (P.matrix @ f.values)))
-
-
 def metropolis(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Metropolis kernels for stochastic proposals K (..., n, n) and positive
     targets pi (..., n): the acceptance rule enforces detailed balance
@@ -252,15 +237,3 @@ def metropolis(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     P[..., diag, diag] = 0.0
     P[..., diag, diag] = 1.0 - P.sum(axis=-1)
     return P
-
-
-def random_reversible_kernel(rng: np.random.Generator, n: int,
-                             pi: Optional[ProbVector] = None
-                             ) -> tuple[FiniteKernel, ProbVector]:
-    """Random pi-reversible Metropolis kernel (and a random positive pi unless given)."""
-    if pi is None:
-        w = rng.uniform(0.2, 1.0, size=n)
-        pi = ProbVector(w / w.sum())
-    K = rng.uniform(0.05, 1.0, size=(n, n))
-    return FiniteKernel(metropolis(K / K.sum(axis=1, keepdims=True), pi.weights),
-                        pi.space), pi

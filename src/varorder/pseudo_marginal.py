@@ -42,6 +42,15 @@ class ImportanceModel:
             raise ZeroWeightError(f"proposal density vanished at a drawn point ({y}, {v})")
         return self.log_joint(y, v) - lq
 
+    # map keeps the per-draw calls in C: no generator frame per sample
+    def draws(self, gen, y) -> tuple:
+        """A fresh sample (v_1, ..., v_N) of v_m ~ q_y, drawn in order."""
+        return tuple(map(self.q_sample, [gen] * self.N, [y] * self.N))
+
+    def log_q_draws(self, y, vs) -> float:
+        """log prod_m q_y(v_m) for a sample vs = (v_1, ..., v_N)."""
+        return sum(map(self.log_q, [y] * len(vs), vs))
+
     def log_estimate(self, y, vs) -> float:
         """log pi*_N(y) for a frozen sample vs = (v_1, ..., v_N)."""
         logs = [self.log_weight(y, v) for v in vs]
@@ -53,9 +62,20 @@ class ImportanceModel:
 
 def gimh_estimate(m: ImportanceModel, y, rng) -> tuple[float, tuple]:
     """Draw v_1..v_N ~ q_y and return (importance average, frozen sample)."""
-    gen = _gen(rng)
-    vs = tuple(m.q_sample(gen, y) for _ in range(m.N))
+    vs = m.draws(_gen(rng), y)
     return math.exp(m.log_estimate(y, vs)), vs
+
+
+def _s_ignoring_u(proposal_s: MarginalProposal) -> ProposalS:
+    """S(y, u; .) = proposal_s(y, .) whatever the auxiliary u."""
+    return ProposalS(sample=lambda gen, y, u: proposal_s.sample(gen, y),
+                     log_density=lambda y, u, yh: proposal_s.log_density(y, yh))
+
+
+def _fresh_sample_t(m: ImportanceModel) -> ProposalT:
+    """T(y, u, yhat; .): a fresh N-sample from q_yhat, whatever (y, u)."""
+    return ProposalT(sample=lambda gen, y, u, yh: m.draws(gen, yh),
+                     log_density=lambda y, u, yh, uh: m.log_q_draws(yh, uh))
 
 
 def gimh_as_freeze(m: ImportanceModel, proposal_s: MarginalProposal) -> AugmentedTargetModel:
@@ -66,26 +86,12 @@ def gimh_as_freeze(m: ImportanceModel, proposal_s: MarginalProposal) -> Augmente
     the refresh density; the resulting freeze ratio is the familiar
     pi*_N(yhat) s(yhat, y) / (pi*_N(y) s(y, yhat)).
     """
-
-    def refresh_sample(gen, y):
-        return tuple(m.q_sample(gen, y) for _ in range(m.N))
-
-    def log_r(y, u):
-        return sum(m.log_q(y, v) for v in u) + m.log_estimate(y, u)
-
-    def t_sample(gen, y, u, yh):
-        return tuple(m.q_sample(gen, yh) for _ in range(m.N))
-
-    def log_t(y, u, yh, uh):
-        return sum(m.log_q(yh, v) for v in uh)
-
     return AugmentedTargetModel(
         log_pi_star=lambda y: 0.0,
-        refresh=Refresh(sample=refresh_sample, log_density=log_r),
-        S=ProposalS(sample=lambda gen, y, u: proposal_s.sample(gen, y),
-                    log_density=lambda y, u, yh: proposal_s.log_density(y, yh)),
-        T=ProposalT(sample=t_sample, log_density=log_t),
-    )
+        refresh=Refresh(
+            sample=m.draws,
+            log_density=lambda y, u: m.log_q_draws(y, u) + m.log_estimate(y, u)),
+        S=_s_ignoring_u(proposal_s), T=_fresh_sample_t(m))
 
 
 def gimh_as_random_refresh(m: ImportanceModel,
@@ -94,22 +100,12 @@ def gimh_as_random_refresh(m: ImportanceModel,
     log-weights log pi*_N (known up to the y-independent normalizing
     constant of the target).  T stays the fresh-sample kernel of the freeze
     construction."""
-
-    def rcheck_sample(gen, y):
-        return tuple(m.q_sample(gen, y) for _ in range(m.N))
-
+    # log_estimate is looked up per call, so a wrapper set on the class later applies
     return AugmentedTargetModel(
         log_pi_star=lambda y: 0.0,
-        check_refresh=CheckRefresh(
-            sample=rcheck_sample,
-            log_density=lambda y, u: sum(m.log_q(y, v) for v in u),
-            log_weight=lambda y, u: m.log_estimate(y, u)),
-        S=ProposalS(sample=lambda gen, y, u: proposal_s.sample(gen, y),
-                    log_density=lambda y, u, yh: proposal_s.log_density(y, yh)),
-        T=ProposalT(sample=lambda gen, y, u, yh: tuple(m.q_sample(gen, yh)
-                                                       for _ in range(m.N)),
-                    log_density=lambda y, u, yh, uh: sum(m.log_q(yh, v) for v in uh)),
-    )
+        check_refresh=CheckRefresh(sample=m.draws, log_density=m.log_q_draws,
+                                   log_weight=lambda y, u: m.log_estimate(y, u)),
+        S=_s_ignoring_u(proposal_s), T=_fresh_sample_t(m))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +160,7 @@ def abc_random_refresh_model(m: ABCModel, log_prior: Callable[[Any], float],
             sample=lambda gen, y: m.simulator(gen, y),
             log_density=lambda y, u: 0.0,
             log_weight=log_weight),
-        S=ProposalS(sample=lambda gen, y, u: proposal_s.sample(gen, y),
-                    log_density=lambda y, u, yh: proposal_s.log_density(y, yh)),
+        S=_s_ignoring_u(proposal_s),
         T=ProposalT(sample=lambda gen, y, u, yh: m.simulator(gen, yh),
                     log_density=lambda y, u, yh, uh: 0.0),
     )

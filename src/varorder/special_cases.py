@@ -30,16 +30,6 @@ class RmcmcModel:
     involution: Callable[[Any], Any]
     log_jacobian: Callable[[Any], float]
 
-    def check_involution(self, points: Sequence, tol: float = 1e-10) -> None:
-        """Verify f(f(u)) = u and the Jacobian chain rule on sample points."""
-        for u in points:
-            uu = self.involution(self.involution(u))
-            if np.max(np.abs(np.asarray(uu) - np.asarray(u))) > tol:
-                raise ValueError(f"involution contract violated at {u!r}")
-            chain = self.log_jacobian(u) + self.log_jacobian(self.involution(u))
-            if abs(chain) > 1e-8:
-                raise ValueError(f"Jacobian chain rule violated at {u!r}")
-
 
 def rmcmc_log_ratio(m: RmcmcModel, y, u, yh) -> float:
     """Unclamped log acceptance ratio of the r-MCMC move (with Jacobian term)."""

@@ -44,18 +44,6 @@ def identity_function() -> FunctionVector:
     return FunctionVector([-1.0, 1.0], two_state_space())
 
 
-def simulate_q0_trace(eps: float, n: int, rng: np.random.Generator,
-                      x0: int = 1) -> np.ndarray:
-    """Vectorized length-(n+1) trace of the Q0(eps) chain on {-1, 1}.
-
-    Each step flips with probability 1 - eps/2, so the path is x0 times a
-    cumulative product of signs.
-    """
-    flips = rng.random(n) < (1.0 - eps / 2.0)
-    signs = np.where(flips, -1.0, 1.0)
-    return np.concatenate([[float(x0)], float(x0) * np.cumprod(signs)])
-
-
 def registry_toy() -> FiniteAugmentedModel:
     """The standard finite augmented model: |Y| = 3, |U| = 2, non-constant
     weights, S depending on (y, u) and T on (y, u, yhat).

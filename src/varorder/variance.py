@@ -70,6 +70,15 @@ class AlternatingModel:
             check_invariant(self.pi.weights, K.matrix, name)
 
 
+def l2_norm(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """L2(pi) operator norm of K - 1 pi^T for kernels K (..., n, n) and positive
+    laws pi (..., n): the largest singular value of D^{1/2} (K - 1 pi^T) D^{-1/2}
+    with D = diag(pi), the root of the top eigenvalue of A^T A."""
+    root = np.sqrt(pi)
+    A = root[..., :, None] * (K - pi[..., None, :]) / root[..., None, :]
+    return np.sqrt(np.linalg.eigvalsh(np.swapaxes(A, -1, -2) @ A)[..., -1])
+
+
 def _centered(f: FunctionVector, pi: ProbVector) -> np.ndarray:
     return f.values - float(np.sum(pi.weights * f.values))
 
@@ -212,20 +221,25 @@ def alternating_autocov(P: np.ndarray, Q: np.ndarray, pi: np.ndarray,
 
 def truncated_autocov_series(m: AlternatingModel, K: int) -> VarianceReport:
     """Series oracle: both covariance series of alternating_autocov truncated
-    at lag K, independent of the linear-solve path in asvar_alternating.  The
-    remainder bound is the geometric tail 4 rho^K pi(fbar^2) / (1 - rho), with
-    rho from PQ - 1 pi^T alone (QP - 1 pi^T has the same nonzero spectrum)."""
+    at lag K, independent of the linear-solve path in asvar_alternating.
+
+    With sigma the larger L2(pi) norm of PQ - 1 pi^T and QP - 1 pi^T, a lag-l
+    covariance is at most sigma^(l // 2) pi(fbar^2) (P and Q are contractions
+    of L2(pi), since pi P = pi Q = pi), so the two tails after lag K sum to at
+    most 4 sigma^((K + 1) // 2) pi(fbar^2) / (1 - sigma): the remainder bound,
+    inf when sigma >= 1."""
     if K < 1:
         raise ValueError("truncation length must be >= 1")
     P, Q, pi = m.P.matrix, m.Q.matrix, m.pi.weights
     cov = alternating_autocov(P, Q, pi, _centered(m.f, m.pi), K + 1)
     var_f = float(cov[0, 0])
     total = var_f + float(cov[1:].sum())
-    rho = float(np.max(np.abs(np.linalg.eigvals(P @ Q - pi))))
-    remainder = 4.0 * rho ** K * var_f / (1.0 - rho) if rho < 1.0 else float("inf")
+    sigma = float(np.max(l2_norm(np.stack([P @ Q, Q @ P]), pi)))
+    remainder = (4.0 * sigma ** ((K + 1) // 2) * var_f / (1.0 - sigma) if sigma < 1.0
+                 else float("inf"))
     return VarianceReport(value=max(total, 0.0), method="truncated_series",
                           diagnostics={"truncation": K, "remainder_bound": remainder,
-                                       "spectral_radius": rho})
+                                       "l2_norm": sigma})
 
 
 def alternating_partial_sum_variance(m: AlternatingModel, n: int, *,

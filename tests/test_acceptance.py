@@ -25,6 +25,7 @@ from varorder.variance import (AlternatingModel, SummabilityError,
                                alternating_partial_sum_variance,
                                asvar_alternating, asvar_homogeneous,
                                batch_means_variance)
+import oracles
 
 # Stationary total-variation gap of the unconditional-refreshment chain on
 # the registry toy, frozen from the enumeration oracle
@@ -233,7 +234,7 @@ def test_criterion_10_batch_means_consistency():
     within = 0
     for rep in range(100):
         rng = RngStream("acceptance-batch-means", seed=2026, stream=rep).generator
-        trace = toys.simulate_q0_trace(eps, 1_000_000, rng)
+        trace = oracles.simulate_q0_trace(eps, 1_000_000, rng)
         estimate = batch_means_variance(trace, batch_count=1000).value
         within += abs(estimate - exact) <= 0.10 * exact
     assert within >= 95

@@ -216,6 +216,17 @@ def test_rmcmc_chain_too_short_for_batch_means_is_config_error(tmp_path, capsys,
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+@pytest.mark.parametrize("scenario", sorted(EXPECTED_SCENARIOS - {"rmcmc-gaussian",
+                                                                  "abc-random-refresh"}))
+def test_chain_length_is_a_config_error_where_no_chain_runs(tmp_path, capsys, scenario):
+    """metadata.json would record a chain length that no runner read."""
+    doc = {"scenario": scenario, "chain_length": 5000}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    assert "takes no chain_length" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_simulation_rows_are_labeled_by_how_they_were_made(tmp_path):
     """rmcmc writes one accept_rate row per replicate; no row claims batch
     means unless batch means made its standard error."""

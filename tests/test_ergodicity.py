@@ -7,7 +7,8 @@ from varorder import exactify, toys
 from varorder.ergodicity import (DriftCertificate, GeometricFitError, drift_check,
                                  fit_certificate, summability_certificate)
 from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
-                              constant_kernel, random_reversible_kernel)
+                              constant_kernel)
+from oracles import random_reversible_kernel
 from test_exactify import random_model
 
 

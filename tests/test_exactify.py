@@ -14,6 +14,7 @@ from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
                                stationary_distribution, systematic_refresh_kernel,
                                total_variation, y_marginal_of)
 from varorder.kernels import FiniteKernel, detailed_balance_check
+import oracles
 
 
 @pytest.fixture
@@ -233,7 +234,7 @@ def test_extracted_kernel_matches_simulation(model):
     rng = RngStream("freeze", seed=42)
     trace = run_chain(freeze_step, m, ChainState(y=Y[0], u=U[0]), 40_000, rng)
     states = [(s.y, s.u) for s in trace.states]
-    freq = exactify.empirical_one_step_frequencies(states, model.joint_space)
+    freq = oracles.empirical_one_step_frequencies(states, model.joint_space)
     visited = freq.sum(axis=1) > 0
     assert np.max(np.abs(freq[visited] - exact.matrix[visited])) < 0.03
 

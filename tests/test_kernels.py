@@ -8,10 +8,10 @@ from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
                               NotReversibleError, check_stochastic, compose,
                               constant_kernel,
                               covariance_order_check, detailed_balance_check,
-                              identity_kernel, lag_one_autocov, lazy_pair,
-                              metropolis, off_diagonal_order_check,
-                              random_reversible_kernel, space)
+                              identity_kernel, metropolis,
+                              off_diagonal_order_check, space)
 from varorder.variance import _inner
+from oracles import lag_one_autocov, lazy_pair, random_reversible_kernel
 
 
 def two_state():

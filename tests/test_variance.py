@@ -13,7 +13,7 @@ import pytest
 from varorder.ergodicity import fit_certificate
 from varorder.kernels import (SPECTRAL_TOL, FiniteKernel, FunctionVector,
                               ProbVector, StateSpace, constant_kernel,
-                              identity_kernel, random_reversible_kernel)
+                              identity_kernel)
 from varorder.variance import (AlternatingModel, ReducibleChainError,
                                SummabilityError, VarianceReport,
                                alternating_partial_sum_variance,
@@ -22,6 +22,8 @@ from varorder.variance import (AlternatingModel, ReducibleChainError,
                                batch_means_variance,
                                truncated_autocov_series)
 from varorder import toys
+import oracles
+from oracles import random_reversible_kernel
 from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
                                extract_kernel, random_refresh_kernel,
                                stationary_distribution)
@@ -128,7 +130,7 @@ def test_homogeneous_closed_form_vs_simulation():
     P, pi, f = two_state_chain(eps)
     exact = asvar_homogeneous(P, pi, f).value
     rng = np.random.default_rng(101)
-    trace = toys.simulate_q0_trace(eps, 400_000, rng)
+    trace = oracles.simulate_q0_trace(eps, 400_000, rng)
     est = batch_means_variance(trace, batch_count=200)
     assert abs(est.value - exact) < 5 * est.diagnostics["standard_error"]
 
@@ -156,6 +158,24 @@ def test_alternating_closed_form_vs_truncated_series():
         series = truncated_autocov_series(m, K=400)
         tol = max(series.diagnostics["remainder_bound"], 1e-10)
         assert abs(closed.value - series.value) <= tol
+
+
+def test_series_remainder_bound_covers_the_truncation_error():
+    """The reported remainder bound holds at short truncations too, where it
+    is far from tiny.  Over 12 000 checks the worst error/bound ratio is 0.89
+    where the bound is above 1e-12; the 1e-15 relative allowance covers the
+    round-off of the two computations where it is not."""
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        n = int(rng.integers(2, 7))
+        P, pi = random_reversible_kernel(rng, n)
+        Q, _ = random_reversible_kernel(rng, n, pi=pi)
+        m = AlternatingModel(P, Q, pi, FunctionVector(rng.normal(size=n), pi.space))
+        closed = asvar_alternating(m).value
+        for K in (1, 2, 3, 5, 10, 20):
+            series = truncated_autocov_series(m, K)
+            bound = series.diagnostics["remainder_bound"]
+            assert abs(closed - series.value) <= bound + 1e-15 * closed, (n, K)
 
 
 def test_alternating_closed_form_vs_partial_sums():
