@@ -316,6 +316,28 @@ def test_out_of_range_scenario_params_are_config_errors(tmp_path, capsys, scenar
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+@pytest.mark.parametrize("scenario, params, message", [
+    ("remark14", {"epsilons": 5}, "epsilons must be a list of numbers"),
+    ("remark14", {"epsilons": ["a"]}, "epsilon must be a number in (0.0, 1.0)"),
+    ("remark14", {"epsilons": [1.5]}, "epsilon must be a number in (0.0, 1.0)"),
+    ("remark14", {"epsilons": [0.5, True]}, "epsilon must be a number in (0.0, 1.0)"),
+    ("abc-random-refresh", {"h": "x"}, "h must be a number in (0.0, inf)"),
+    ("abc-random-refresh", {"h": -1}, "h must be a number in (0.0, inf)"),
+    ("rmcmc-gaussian", {"step": 0}, "step must be a number in (0.0, inf)"),
+    ("rmcmc-gaussian", {"step": "x"}, "step must be a number in (0.0, inf)"),
+    ("rmcmc-gaussian", {"step": 10 ** 400}, "step must be a number in (0.0, inf)"),
+    ("gmtm-equivalence", {"tries": 0}, "tries must be >= 1")])
+def test_out_of_range_scenario_params_are_named_in_the_config_error(tmp_path, capsys,
+                                                                    scenario, params, message):
+    """Without a chain_length, which is a config error of its own where no
+    chain runs, the error can only come from the param's parser."""
+    doc = {"scenario": scenario, "params": params}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_run_that_checks_no_assertion_fails(tmp_path):
     doc = {"scenario": "remark14", "params": {"epsilons": []}}
     out = str(tmp_path / "o")
