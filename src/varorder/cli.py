@@ -29,7 +29,7 @@ from .kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel, FunctionVector,
                       compose, constant_kernel, detailed_balance_check,
                       identity_kernel, off_diagonal_order_check)
 from .pseudo_marginal import abc_random_refresh_model
-from .samplers import ChainState, DensityError, RngStream, random_refresh_step, run_chain
+from .samplers import ChainState, RngStream, random_refresh_step, run_chain
 from .special_cases import (gmtm_embedding_model, gmtm_exact_kernel, gmtm_log_ratio,
                             rmcmc_chain)
 from .variance import (AlternatingModel, SummabilityError,
@@ -332,8 +332,7 @@ def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
               worst <= EXACT_TOL, f"max log-ratio gap {worst!r}")
     mn = toys.gmtm_toy(cfg.params["tries"])
     direct = gmtm_exact_kernel(mn)
-    pi_tab = {y: math.exp(mn.log_pi_star(y)) for y in mn.support}
-    emb_model = gmtm_embedding_model(mn, pi_tab)
+    emb_model = gmtm_embedding_model(mn)
     embedded = exactify.extract_kernel("systematic", emb_model)
     emb_y = exactify.marginal_kernel(embedded, emb_model)
     gap = float(np.max(np.abs(direct.matrix - emb_y.matrix)))
@@ -366,6 +365,11 @@ def _run_abc_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
     res = ScenarioResult()
     abc, log_prior, prop, target = toys.abc_toy(cfg.params["h"])
     model = abc_random_refresh_model(abc, log_prior, prop)
+    tol = 5.0 / math.sqrt(max(cfg.chain_length, 1))
+    widest = 1.0 - float(target.weights.min())  # the largest tv gap any law has from target
+    if max(tol, 0.02) >= widest:
+        raise ConfigError(f"chain_length {cfg.chain_length} gives tv tolerance {tol!r}, "
+                          f"at least the largest possible gap {widest!r}")
     rng = RngStream("abc-random-refresh", cfg.seed)
     gen = rng.generator
     y0 = 0.0
@@ -381,7 +385,6 @@ def _run_abc_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
         res.add("abc_random_refresh", f"target(y={y})", float(tg), seed=cfg.seed)
     res.add("abc_random_refresh", "empirical_tv_gap", gap,
             method="empirical_frequency", seed=cfg.seed)
-    tol = 5.0 / math.sqrt(max(cfg.chain_length, 1))
     res.check("empirical law matches the exact smoothed posterior",
               gap <= max(tol, 0.02), f"tv gap {gap!r}, Monte Carlo tol {tol!r}")
     return res
@@ -538,8 +541,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
     """
     spec = _REGISTRY[cfg.scenario]
     started = time.time()
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory: {exc}") from exc
     result = spec.runner(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     rows = sorted(result.rows, key=lambda r: (r.algorithm, r.replicate, r.metric))
     with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -619,8 +625,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error in scenario {cfg.scenario!r}: {exc}", file=sys.stderr)
         return 1
-    except (DensityError, exactify.ReducibleKernelError, SummabilityError,
-            ValueError) as exc:
+    except ValueError as exc:  # the package's model errors are all ValueErrors
         print(f"runtime model error in scenario {cfg.scenario!r}: {exc}",
               file=sys.stderr)
         return 2

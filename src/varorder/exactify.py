@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import FiniteKernel, ProbVector, StateSpace, check_stochastic
+from .kernels import (FiniteKernel, ProbVector, StateSpace, _mh_acceptance,
+                      check_stochastic)
 from .variance import INVARIANCE_TOL, ReducibleChainError, _fundamental_solve
 
 MAX_JOINT_STATES = 256
@@ -94,11 +95,11 @@ class ExtractedKernel:
 
 def freeze_acceptance_table(m: FiniteAugmentedModel) -> np.ndarray:
     """alpha[y, u, yhat, uhat] for the freeze move, clamped at 1."""
-    # flux[y, u, yh, uh] = pi(y, u) S[y, u, yh] T[y, u, yh, uh]; the reverse
-    # flux of the same move is its transpose across the two joint indices
+    # flux[y, u, yh, uh] = pi(y, u) S[y, u, yh] T[y, u, yh, uh]; as a joint-space
+    # matrix, the reverse flux of a move is its transposed entry
     flux = (m.pi_star[:, None] * m.r)[:, :, None, None] * m.S[:, :, :, None] * m.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(flux > 0, np.minimum(1.0, flux.transpose(2, 3, 0, 1) / flux), 1.0)
+    n = m.Y.size * m.U.size
+    return _mh_acceptance(flux.reshape(n, n)).reshape(flux.shape)
 
 
 def accept_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
@@ -153,11 +154,7 @@ def marginal_mh_proposal(m: FiniteAugmentedModel) -> np.ndarray:
 def marginal_mh_exact_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
     """Classical MH kernel on Y with the marginalized proposal k."""
     k = marginal_mh_proposal(m)
-    flow = m.pi_star[:, None] * k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = flow.T / flow
-    # fmin, like min(1, ratio), takes 1 for a 0/0 ratio between unlinked states
-    K = k * np.fmin(1.0, ratio)
+    K = k * _mh_acceptance(m.pi_star[:, None] * k)
     K[np.diag_indices(m.Y.size)] += 1.0 - K.sum(axis=1)
     return FiniteKernel(K, m.Y)
 

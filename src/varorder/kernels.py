@@ -227,12 +227,18 @@ def off_diagonal_order_check(P0: FiniteKernel, P1: FiniteKernel,
     return OrderingCertificate(holds=False, witness=(int(i), int(j), float(gap[i, j])))
 
 
+def _mh_acceptance(flow: np.ndarray) -> np.ndarray:
+    """Metropolis-Hastings acceptance 1 ^ flow_ji / flow_ij over the last two
+    axes; 1 where flow_ij = 0, a move that is never proposed."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(flow > 0, np.minimum(1.0, np.swapaxes(flow, -1, -2) / flow), 1.0)
+
+
 def metropolis(K: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Metropolis kernels for stochastic proposals K (..., n, n) and positive
     targets pi (..., n): the acceptance rule enforces detailed balance
     exactly (up to float round-off far below ENTRY_TOL)."""
-    flow = pi[..., :, None] * K
-    P = K * np.minimum(1.0, np.swapaxes(flow, -1, -2) / flow)
+    P = K * _mh_acceptance(pi[..., :, None] * K)
     diag = np.arange(K.shape[-1])
     P[..., diag, diag] = 0.0
     P[..., diag, diag] = 1.0 - P.sum(axis=-1)

@@ -139,35 +139,6 @@ def _rcheck_pmf(m: GmtmModel) -> dict:
             for y in m.support}
 
 
-def gmtm_rst_decomposition(m: GmtmModel, y):
-    """Density evaluators (R, S, T) of the systematic-refreshment embedding
-    with u = the n-1 rejected candidates and uhat the shadow draws.
-
-    Requires a discrete rcheck support so the normalizing integral is a
-    finite sum.
-    """
-    pmf = _rcheck_pmf(m)
-
-    def denom(yy, u, yhat):
-        return sum(m.omega(yy, ul) for ul in u) + m.omega(yy, yhat)
-
-    def integral(yy, u):
-        return sum(pmf[yy][yhat] * m.omega(yy, yhat) / denom(yy, u, yhat)
-                   for yhat in m.support)
-
-    def R_density(u):
-        prod = math.prod(pmf[y][uk] for uk in u)
-        return m.n * prod * integral(y, u)
-
-    def S_density(u, yhat):
-        return (pmf[y][yhat] * m.omega(y, yhat) / denom(y, u, yhat)) / integral(y, u)
-
-    def T_density(u, yhat, uhat):
-        return math.prod(pmf[yhat][uk] for uk in uhat)
-
-    return R_density, S_density, T_density
-
-
 def gmtm_exact_kernel(m: GmtmModel) -> FiniteKernel:
     """Exact y-transition matrix of GMTM on a finite support, by enumerating
     candidate tuples, the selection index and the shadow draws."""
@@ -192,25 +163,26 @@ def gmtm_exact_kernel(m: GmtmModel) -> FiniteKernel:
     return FiniteKernel(K, StateSpace(support))
 
 
-def gmtm_embedding_model(m: GmtmModel, pi_star: dict) -> FiniteAugmentedModel:
-    """Finite augmented model realizing the (R, S, T) embedding of GMTM, so
-    the generic systematic-refreshment extraction can be compared entrywise
-    against gmtm_exact_kernel."""
-    support = m.support
-    ys = StateSpace(support)
-    u_labels = list(itertools.product(support, repeat=m.n - 1))
-    us = StateSpace(u_labels)
-    ny, nu = len(support), len(u_labels)
-    r = np.zeros((ny, nu))
-    S = np.zeros((ny, nu, ny))
-    T = np.zeros((ny, nu, ny, nu))
-    for yi, y in enumerate(support):
-        R_density, S_density, T_density = gmtm_rst_decomposition(m, y)
-        for ui, u in enumerate(u_labels):
-            r[yi, ui] = R_density(u)
-            for yj, yh in enumerate(support):
-                S[yi, ui, yj] = S_density(u, yh)
-                for uj, uh in enumerate(u_labels):
-                    T[yi, ui, yj, uj] = T_density(u, yh, uh)
-    pi = np.array([pi_star[y] for y in support], dtype=float)
-    return FiniteAugmentedModel(Y=ys, U=us, pi_star=pi / pi.sum(), S=S, T=T, r=r)
+def gmtm_embedding_model(m: GmtmModel) -> FiniteAugmentedModel:
+    """Finite augmented model of GMTM's (R, S, T) embedding, u the n-1 rejected
+    candidates and uhat the shadow draws: its systematic-refreshment kernel
+    equals gmtm_exact_kernel entrywise.  Sums and products over candidates
+    run left to right, as in gmtm_log_ratio."""
+    pmf = _rcheck_pmf(m)
+    support, ny = m.support, len(m.support)
+    R = np.array([[pmf[y][v] for v in support] for y in support])
+    W = np.array([[m.omega(y, v) for v in support] for y in support])
+    # tuples[u, l] indexes the l-th candidate of u; wsum[y, u] = sum_l W(y, u_l)
+    # and prod[y, u] = prod_l R(y, u_l)
+    tuples = np.array(list(itertools.product(range(ny), repeat=m.n - 1)), dtype=int)
+    nu = len(tuples)
+    wsum, prod = np.zeros((ny, nu)), np.ones((ny, nu))
+    for col in tuples.T:
+        wsum, prod = wsum + W[:, col], prod * R[:, col]
+    flow = R[:, None, :] * W[:, None, :] / (wsum[:, :, None] + W[:, None, :])
+    norm = flow.sum(axis=-1)
+    pi = np.array([math.exp(m.log_pi_star(y)) for y in support])
+    return FiniteAugmentedModel(
+        Y=StateSpace(support), U=StateSpace(itertools.product(support, repeat=m.n - 1)),
+        pi_star=pi / pi.sum(), S=flow / norm[:, :, None], r=m.n * prod * norm,
+        T=np.broadcast_to(prod, (ny, nu, ny, nu)))

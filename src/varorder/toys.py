@@ -165,10 +165,10 @@ def gmtm_toy(n: int) -> GmtmModel:
     rk = {"a": {"a": 0.2, "b": 0.5, "c": 0.3},
           "b": {"a": 0.4, "b": 0.2, "c": 0.4},
           "c": {"a": 0.3, "b": 0.6, "c": 0.1}}
+    cdf = {y: choice_cdf([rk[y][v] for v in support]) for y in support}
     return GmtmModel(
         log_pi_star=lambda y: math.log(pi_tab[y]),
-        rcheck_sample=lambda gen, y: support[
-            gen.choice(3, p=[rk[y][v] for v in support])],
+        rcheck_sample=lambda gen, y: support[bisect_right(cdf[y], gen.random())],
         log_rcheck=lambda y, v: math.log(rk[y][v]),
         omega=lambda y, v: pi_tab[v] + 0.1 * (y == v),
         n=n, support=support)

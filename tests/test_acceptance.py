@@ -172,8 +172,7 @@ def test_criterion_08_reduction_equivalences():
         assert abs(got - want) <= 1e-12
     # (b) multiple-try kernel equals its refreshment embedding entrywise
     m2 = _gmtm_toy(2)
-    pi_tab = {y: math.exp(m2.log_pi_star(y)) for y in m2.support}
-    emb = gmtm_embedding_model(m2, pi_tab)
+    emb = gmtm_embedding_model(m2)
     emb_y = exactify.marginal_kernel(exactify.extract_kernel("systematic", emb),
                                      emb)
     assert np.max(np.abs(emb_y.matrix - gmtm_exact_kernel(m2).matrix)) <= 1e-12

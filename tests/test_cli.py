@@ -1,6 +1,7 @@
 """CLI plumbing: registry, configs, determinism, exit codes, output files."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -225,6 +226,37 @@ def test_chain_length_is_a_config_error_where_no_chain_runs(tmp_path, capsys, sc
     assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
     assert "takes no chain_length" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("chain_length, code", [(0, 1), (40, 1), (41, 0)])
+def test_abc_chain_too_short_for_its_check_to_fail_is_a_config_error(tmp_path, capsys,
+                                                                     chain_length, code):
+    """At h = 1 no law lies more than 1 - min(target) = 0.7905 from the target
+    in tv, so the tolerance 5 / sqrt(n) would pass any chain of n <= 40 steps."""
+    doc = {"scenario": "abc-random-refresh", "chain_length": chain_length}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == code
+    assert os.path.exists(os.path.join(out, "report.json")) == (code == 0)
+    if code:
+        assert "at least the largest possible gap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_unusable_out_dir_is_a_config_error_before_the_run(tmp_path, capsys, monkeypatch,
+                                                          below):
+    """An existing file, or a path below one, cannot be the output directory;
+    the error comes as one line, before the scenario runs."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    ran = []
+    spec = cli._REGISTRY["remark14"]
+    monkeypatch.setitem(cli._REGISTRY, "remark14", dataclasses.replace(
+        spec, runner=lambda cfg: ran.append(cfg) or spec.runner(cfg)))
+    cfg = write_config(tmp_path, {"scenario": "remark14"})
+    assert cli.main(["run", cfg, "--out-dir", str(blocker / below)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert ran == []
 
 
 def test_simulation_rows_are_labeled_by_how_they_were_made(tmp_path):

@@ -102,8 +102,13 @@ def test_detailed_balance_witness_locates_violation():
 
 def test_random_reversible_kernel_satisfies_detailed_balance():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        P, pi = random_reversible_kernel(rng, int(rng.integers(2, 7)))
+    cases = [random_reversible_kernel(rng, int(rng.integers(2, 7))) for _ in range(10)]
+    # K_02 = K_20 = 0: a pair that is never proposed must not make a 0/0 ratio;
+    # FiniteKernel refuses NaN and rows that do not sum to 1
+    K = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]])
+    pi = ProbVector([0.2, 0.3, 0.5])
+    cases.append((FiniteKernel(metropolis(K, pi.weights)), pi))
+    for P, pi in cases:
         assert detailed_balance_check(P, pi).holds
 
 

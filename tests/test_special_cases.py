@@ -1,6 +1,5 @@
 """Involution-based MH and generalized multiple-try Metropolis."""
 
-import itertools
 import math
 
 import numpy as np
@@ -11,8 +10,7 @@ from varorder.toys import gaussian_rmcmc_model, gmtm_toy as _gmtm_toy
 from varorder.kernels import detailed_balance_check
 from varorder.samplers import DensityError, RngStream
 from varorder.special_cases import (GmtmModel, gmtm_embedding_model,
-                                    gmtm_exact_kernel, gmtm_log_ratio,
-                                    gmtm_rst_decomposition, gmtm_select,
+                                    gmtm_exact_kernel, gmtm_log_ratio, gmtm_select,
                                     gmtm_step, rmcmc_chain,
                                     rmcmc_log_ratio, rmcmc_step)
 from varorder.variance import batch_means_variance
@@ -157,22 +155,25 @@ def test_exact_kernel_is_stochastic_and_pi_reversible():
                                                 K.space)).holds
 
 
-def test_rst_densities_normalize():
-    m = _gmtm_toy(2)
-    for y in m.support:
-        R, S, T = gmtm_rst_decomposition(m, y)
-        u_tuples = list(itertools.product(m.support, repeat=m.n - 1))
-        assert sum(R(u) for u in u_tuples) == pytest.approx(1.0, abs=1e-12)
-        for u in u_tuples:
-            assert sum(S(u, yh) for yh in m.support) == pytest.approx(1.0, abs=1e-12)
-            assert sum(T(u, "b", uh) for uh in u_tuples) == pytest.approx(1.0,
-                                                                          abs=1e-12)
+def _random_gmtm(seed: int, n: int) -> GmtmModel:
+    """Three states with random target, proposal and weights; no sampler, as
+    only the exact analysis reads the model."""
+    rng = np.random.default_rng(seed)
+    pi, omega = rng.uniform(0.1, 1.0, 3), rng.uniform(0.1, 2.0, (3, 3))
+    rk = rng.uniform(0.05, 1.0, (3, 3))
+    rk /= rk.sum(axis=1, keepdims=True)
+    return GmtmModel(log_pi_star=lambda y: math.log(pi[y]), rcheck_sample=None,
+                     log_rcheck=lambda y, v: math.log(rk[y, v]),
+                     omega=lambda y, v: float(omega[y, v]), n=n, support=(0, 1, 2))
 
 
-def test_embedding_matches_direct_kernel():
-    m = _gmtm_toy(2)
-    pi_tab = {y: math.exp(m.log_pi_star(y)) for y in m.support}
-    emb = gmtm_embedding_model(m, pi_tab)
+@pytest.mark.parametrize("m", [_gmtm_toy(n) for n in (1, 2, 3, 4)]
+                         + [_random_gmtm(seed, 1 + seed) for seed in range(3)],
+                         ids=[f"toy-{n}-tries" for n in (1, 2, 3, 4)]
+                         + [f"random-{1 + seed}-tries" for seed in range(3)])
+def test_embedding_matches_direct_kernel(m):
+    """One try leaves u the empty candidate tuple."""
+    emb = gmtm_embedding_model(m)
     emb_y = exactify.marginal_kernel(exactify.extract_kernel("systematic", emb),
                                      emb)
     direct = gmtm_exact_kernel(m)

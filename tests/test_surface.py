@@ -95,3 +95,13 @@ def test_importing_the_cli_adds_only_numpy_and_the_standard_library():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert set(json.loads(done.stdout)) <= {"numpy", "varorder"}
+
+
+def test_no_module_of_the_package_calls_generator_choice():
+    """Categorical draws go through samplers.choice_cdf and bisect_right, the
+    one way the package draws them; prose that names .choice( is no call."""
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "choice"]
+    assert calls == []
