@@ -121,6 +121,19 @@ def _count(name: str, value) -> int:
     return count
 
 
+def _tries(name: str, value) -> int:
+    """A try count whose GMTM embedding on the toy's support, with
+    |support|^tries joint states, fits the exact layer."""
+    tries = _count(name, value)
+    states, cap = len(toys.gmtm_toy(1).support), 1
+    while states ** (cap + 1) <= exactify.MAX_JOINT_STATES:
+        cap += 1
+    if tries > cap:
+        raise ConfigError(f"{name} must be <= {cap}, got {tries}: the embedding has "
+                          f"{states}^{name} joint states, at most {exactify.MAX_JOINT_STATES}")
+    return tries
+
+
 def _epsilons(name: str, value) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
@@ -128,7 +141,7 @@ def _epsilons(name: str, value) -> list:
 
 
 # one parser per scenario parameter name; positive numbers go through _number
-PARAM_PARSERS = {"horizon": _count, "pairs": _count, "functions": _count, "tries": _count,
+PARAM_PARSERS = {"horizon": _count, "pairs": _count, "functions": _count, "tries": _tries,
                  "step": _number, "h": _number, "epsilons": _epsilons}
 
 
@@ -541,11 +554,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
     """
     spec = _REGISTRY[cfg.scenario]
     started = time.time()
+    made, path = [], os.path.abspath(out_dir)  # the directories this run makes, deepest first
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the output directory: {exc}") from exc
-    result = spec.runner(cfg)
+    try:
+        result = spec.runner(cfg)
+    except ConfigError:
+        for path in made:
+            os.rmdir(path)
+        raise
     rows = sorted(result.rows, key=lambda r: (r.algorithm, r.replicate, r.metric))
     with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

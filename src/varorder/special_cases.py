@@ -94,16 +94,23 @@ class GmtmModel:
             raise ValueError("number of tries must be at least 1")
 
 
+def _gmtm_log_alpha(log_pi_y, log_pi_yh, log_r_fwd, log_r_bwd, log_w_fwd, log_w_bwd,
+                    log_fwd_sum, log_bwd_sum):
+    """The GMTM log acceptance ratio from its logged factors, on scalars or on
+    broadcasting arrays: fwd is the move y -> yhat, bwd the move back."""
+    return (log_pi_yh + log_r_bwd + log_w_bwd + log_fwd_sum
+            - log_pi_y - log_r_fwd - log_w_fwd - log_bwd_sum)
+
+
 def gmtm_log_ratio(m: GmtmModel, y, vs: Sequence, yh, vhats: Sequence) -> float:
     """log alpha^(m) before clamping; vhats must already end with y."""
     fwd_sum = sum(m.omega(y, v) for v in vs)
     bwd_sum = sum(m.omega(yh, v) for v in vhats)
     if fwd_sum <= 0 or bwd_sum <= 0:
         raise DensityError("GMTM weight sum", 0.0)
-    return (m.log_pi_star(yh) + m.log_rcheck(yh, y) + math.log(m.omega(yh, y))
-            + math.log(fwd_sum)
-            - m.log_pi_star(y) - m.log_rcheck(y, yh) - math.log(m.omega(y, yh))
-            - math.log(bwd_sum))
+    return _gmtm_log_alpha(m.log_pi_star(y), m.log_pi_star(yh), m.log_rcheck(y, yh),
+                           m.log_rcheck(yh, y), math.log(m.omega(y, yh)),
+                           math.log(m.omega(yh, y)), math.log(fwd_sum), math.log(bwd_sum))
 
 
 def gmtm_select(weights: Sequence[float], gen: np.random.Generator) -> int:
@@ -132,35 +139,66 @@ def gmtm_step(m: GmtmModel, y, rng) -> Any:
     return y
 
 
-def _rcheck_pmf(m: GmtmModel) -> dict:
+def _support_tables(m: GmtmModel) -> tuple:
+    """log pi*, log rcheck, rcheck and omega tabulated once on the finite
+    support, as arrays indexed by support position."""
     if m.support is None:
         raise ValueError("exact GMTM analysis requires a finite support")
-    return {y: {v: math.exp(m.log_rcheck(y, v)) for v in m.support}
-            for y in m.support}
+    support = m.support
+    log_pi = np.array([m.log_pi_star(y) for y in support])
+    log_r = [[m.log_rcheck(y, v) for v in support] for y in support]
+    R = np.array([[math.exp(x) for x in row] for row in log_r])
+    W = np.array([[m.omega(y, v) for v in support] for y in support])
+    for factor, table, ok in (("GMTM log_pi_star", log_pi, np.isfinite(log_pi)),
+                              ("GMTM rcheck", R, np.isfinite(R)),
+                              ("GMTM omega", W, np.isfinite(W) & (W > 0))):
+        if not ok.all():
+            raise DensityError(factor, float(table[~ok][0]))
+    return log_pi, np.array(log_r), R, W
+
+
+def _tuple_tables(R: np.ndarray, W: np.ndarray, k: int) -> tuple:
+    """Every k-tuple of support indices, in itertools.product order, with
+    prod[y, t] = prod_l R(y, t_l) and wsum[y, t] = sum_l W(y, t_l), both
+    accumulated left to right as gmtm_log_ratio sums."""
+    tuples = np.array(list(itertools.product(range(len(R)), repeat=k)),
+                      dtype=int).reshape(len(R) ** k, k)
+    prod, wsum = np.ones((len(R), len(tuples))), np.zeros((len(R), len(tuples)))
+    for col in tuples.T:
+        wsum, prod = wsum + W[:, col], prod * R[:, col]
+    return tuples, prod, wsum
 
 
 def gmtm_exact_kernel(m: GmtmModel) -> FiniteKernel:
-    """Exact y-transition matrix of GMTM on a finite support, by enumerating
-    candidate tuples, the selection index and the shadow draws."""
-    pmf = _rcheck_pmf(m)
-    support = m.support
-    idx = {lab: i for i, lab in enumerate(support)}
-    ns = len(support)
+    """Exact y-transition matrix of GMTM on a finite support.
+
+    For each start y, one array with axes (candidate tuple vs, selected slot
+    j, shadow tuple vh) holds the mass p(vs) p_sel(j) p(vh) min(1, alpha) of
+    the move to yhat = vs_j, which is added into K[y, yhat]; the rejected mass
+    goes to the diagonal.  That is |support|^(2n) n terms for n tries."""
+    log_pi, log_r, R, W = _support_tables(m)
+    ns = len(log_pi)
+    cands, p_cand, w_cand = _tuple_tables(R, W, m.n)
+    _, p_shadow, w_shadow = _tuple_tables(R, W, m.n - 1)
+    log_w = np.log(W)
+    # a move never proposed has p(vs) = 0; dropping its -inf log rcheck from
+    # the ratio keeps -inf - -inf from making a NaN
+    log_r_fwd = np.where(R > 0, log_r, 0.0)
     K = np.zeros((ns, ns))
-    for y in support:
-        i = idx[y]
-        for vs in itertools.product(support, repeat=m.n):
-            p_vs = math.prod(pmf[y][v] for v in vs)
-            wsum = sum(m.omega(y, v) for v in vs)
-            for j, yh in enumerate(vs):
-                p_sel = m.omega(y, yh) / wsum
-                for vh in itertools.product(support, repeat=m.n - 1):
-                    p_vh = math.prod(pmf[yh][v] for v in vh)
-                    vhats = list(vh) + [y]
-                    alpha = math.exp(min(0.0, gmtm_log_ratio(m, y, vs, yh, vhats)))
-                    K[i, idx[yh]] += p_vs * p_sel * p_vh * alpha
-        K[i, i] += 1.0 - K[i].sum()
-    return FiniteKernel(K, StateSpace(support))
+    for y in range(ns):
+        p_sel = W[y, cands] / w_cand[y][:, None]
+        log_alpha = _gmtm_log_alpha(
+            log_pi[y], log_pi[cands][..., None], log_r_fwd[y, cands][..., None],
+            log_r[cands, y][..., None], log_w[y, cands][..., None],
+            log_w[cands, y][..., None], np.log(w_cand[y])[:, None, None],
+            np.log(w_shadow + W[:, y:y + 1])[cands])
+        mass = ((p_cand[y][:, None] * p_sel)[..., None] * p_shadow[cands]
+                * np.exp(np.minimum(0.0, log_alpha)))
+        # unbuffered, in C order: each K[y, yhat] sums its masses in the
+        # order of a loop over (vs, j, vh)
+        np.add.at(K[y], np.broadcast_to(cands[..., None], mass.shape).ravel(), mass.ravel())
+        K[y, y] += 1.0 - K[y].sum()
+    return FiniteKernel(K, StateSpace(m.support))
 
 
 def gmtm_embedding_model(m: GmtmModel) -> FiniteAugmentedModel:
@@ -168,20 +206,15 @@ def gmtm_embedding_model(m: GmtmModel) -> FiniteAugmentedModel:
     candidates and uhat the shadow draws: its systematic-refreshment kernel
     equals gmtm_exact_kernel entrywise.  Sums and products over candidates
     run left to right, as in gmtm_log_ratio."""
-    pmf = _rcheck_pmf(m)
+    log_pi, _, R, W = _support_tables(m)
     support, ny = m.support, len(m.support)
-    R = np.array([[pmf[y][v] for v in support] for y in support])
-    W = np.array([[m.omega(y, v) for v in support] for y in support])
-    # tuples[u, l] indexes the l-th candidate of u; wsum[y, u] = sum_l W(y, u_l)
-    # and prod[y, u] = prod_l R(y, u_l)
-    tuples = np.array(list(itertools.product(range(ny), repeat=m.n - 1)), dtype=int)
+    # u runs over the (n-1)-tuples; wsum[y, u] = sum_l W(y, u_l) and
+    # prod[y, u] = prod_l R(y, u_l)
+    tuples, prod, wsum = _tuple_tables(R, W, m.n - 1)
     nu = len(tuples)
-    wsum, prod = np.zeros((ny, nu)), np.ones((ny, nu))
-    for col in tuples.T:
-        wsum, prod = wsum + W[:, col], prod * R[:, col]
     flow = R[:, None, :] * W[:, None, :] / (wsum[:, :, None] + W[:, None, :])
     norm = flow.sum(axis=-1)
-    pi = np.array([math.exp(m.log_pi_star(y)) for y in support])
+    pi = np.array([math.exp(x) for x in log_pi])
     return FiniteAugmentedModel(
         Y=StateSpace(support), U=StateSpace(itertools.product(support, repeat=m.n - 1)),
         pi_star=pi / pi.sum(), S=flow / norm[:, :, None], r=m.n * prod * norm,

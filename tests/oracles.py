@@ -7,13 +7,14 @@ live next to the tests that use them rather than in the library.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
                               StateSpace, metropolis)
-from varorder.special_cases import RmcmcModel
+from varorder.special_cases import GmtmModel, RmcmcModel, gmtm_log_ratio
 
 
 def lazy_pair(P: FiniteKernel, a: float) -> tuple[FiniteKernel, FiniteKernel]:
@@ -74,3 +75,27 @@ def check_involution(model: RmcmcModel, points: Sequence, tol: float = 1e-10) ->
         chain = model.log_jacobian(u) + model.log_jacobian(model.involution(u))
         if abs(chain) > 1e-8:
             raise ValueError(f"Jacobian chain rule violated at {u!r}")
+
+
+def gmtm_exact_kernel_loop(m: GmtmModel) -> FiniteKernel:
+    """Exact GMTM y-kernel by the direct loop: one gmtm_log_ratio call per
+    (start y, candidate tuple, selected slot, shadow tuple), each mass added
+    in turn, the rejected mass on the diagonal."""
+    support = m.support
+    pmf = {y: {v: math.exp(m.log_rcheck(y, v)) for v in support} for y in support}
+    idx = {lab: i for i, lab in enumerate(support)}
+    K = np.zeros((len(support), len(support)))
+    for y in support:
+        i = idx[y]
+        for vs in itertools.product(support, repeat=m.n):
+            p_vs = math.prod(pmf[y][v] for v in vs)
+            wsum = sum(m.omega(y, v) for v in vs)
+            for j, yh in enumerate(vs):
+                p_sel = m.omega(y, yh) / wsum
+                for vh in itertools.product(support, repeat=m.n - 1):
+                    p_vh = math.prod(pmf[yh][v] for v in vh)
+                    vhats = list(vh) + [y]
+                    alpha = math.exp(min(0.0, gmtm_log_ratio(m, y, vs, yh, vhats)))
+                    K[i, idx[yh]] += p_vs * p_sel * p_vh * alpha
+        K[i, i] += 1.0 - K[i].sum()
+    return FiniteKernel(K, StateSpace(support))

@@ -239,6 +239,36 @@ def test_abc_chain_too_short_for_its_check_to_fail_is_a_config_error(tmp_path, c
     assert os.path.exists(os.path.join(out, "report.json")) == (code == 0)
     if code:
         assert "at least the largest possible gap" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("existing", [[], ["o"], ["o", "o/sub"], ["o", "o/sub", "o/sub/out"]])
+def test_config_error_in_a_runner_removes_only_the_directories_the_run_made(
+        tmp_path, existing):
+    """Output directory o/sub/out: the directories that existed before the run
+    survive the runner's config error, and those the run made are gone."""
+    for name in existing:
+        (tmp_path / name).mkdir()
+    out = str(tmp_path / "o" / "sub" / "out")
+    doc = {"scenario": "abc-random-refresh", "chain_length": 40}
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    assert left == sorted(["cfg.json", *existing])
+
+
+def test_bad_gmtm_weights_are_a_model_error(tmp_path, capsys, monkeypatch):
+    """A zero weight in the n-try model's table: exit 2, naming the factor."""
+    toy = toys.gmtm_toy
+
+    def zero_weight_toy(n):
+        m = toy(n)
+        return m if n == 1 else dataclasses.replace(m, omega=lambda y, v: 0.0)
+
+    monkeypatch.setattr(toys, "gmtm_toy", zero_weight_toy)
+    out = str(tmp_path / "o")
+    doc = {"scenario": "gmtm-equivalence"}
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 2
+    assert "'GMTM omega' evaluated to 0.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("below", ["", "sub"])
@@ -358,7 +388,9 @@ def test_out_of_range_scenario_params_are_config_errors(tmp_path, capsys, scenar
     ("rmcmc-gaussian", {"step": 0}, "step must be a number in (0.0, inf)"),
     ("rmcmc-gaussian", {"step": "x"}, "step must be a number in (0.0, inf)"),
     ("rmcmc-gaussian", {"step": 10 ** 400}, "step must be a number in (0.0, inf)"),
-    ("gmtm-equivalence", {"tries": 0}, "tries must be >= 1")])
+    ("gmtm-equivalence", {"tries": 0}, "tries must be >= 1"),
+    ("gmtm-equivalence", {"tries": 6}, "tries must be <= 5, got 6"),
+    ("gmtm-equivalence", {"tries": 10 ** 9}, "tries must be <= 5")])
 def test_out_of_range_scenario_params_are_named_in_the_config_error(tmp_path, capsys,
                                                                     scenario, params, message):
     """Without a chain_length, which is a config error of its own where no

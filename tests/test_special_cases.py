@@ -1,5 +1,6 @@
 """Involution-based MH and generalized multiple-try Metropolis."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,14 @@ import pytest
 
 from varorder import exactify
 from varorder.toys import gaussian_rmcmc_model, gmtm_toy as _gmtm_toy
-from varorder.kernels import detailed_balance_check
+from varorder.kernels import ProbVector, detailed_balance_check
 from varorder.samplers import DensityError, RngStream
 from varorder.special_cases import (GmtmModel, gmtm_embedding_model,
                                     gmtm_exact_kernel, gmtm_log_ratio, gmtm_select,
                                     gmtm_step, rmcmc_chain,
                                     rmcmc_log_ratio, rmcmc_step)
 from varorder.variance import batch_means_variance
-from oracles import check_involution
+from oracles import check_involution, gmtm_exact_kernel_loop
 
 
 # ---- r-MCMC ----
@@ -150,7 +151,6 @@ def test_exact_kernel_is_stochastic_and_pi_reversible():
     pi = exactify.stationary_distribution(K)
     target = np.array([math.exp(m.log_pi_star(y)) for y in m.support])
     assert np.allclose(pi.weights, target / target.sum(), atol=1e-12)
-    from varorder.kernels import ProbVector
     assert detailed_balance_check(K, ProbVector(target / target.sum(),
                                                 K.space)).holds
 
@@ -178,6 +178,73 @@ def test_embedding_matches_direct_kernel(m):
                                      emb)
     direct = gmtm_exact_kernel(m)
     assert np.max(np.abs(emb_y.matrix - direct.matrix)) < 1e-12
+
+
+def _benchmark_like_gmtm(seed: int) -> GmtmModel:
+    """Three states and four tries with weights pi(v) + 0.1 [y == v], drawn
+    as the sim-chains benchmark draws its multiple-try model."""
+    rng = np.random.default_rng(seed)
+    pi = rng.uniform(0.2, 1.0, 3)
+    pi /= pi.sum()
+    rk = rng.uniform(0.1, 1.0, (3, 3))
+    rk /= rk.sum(axis=1, keepdims=True)
+    return GmtmModel(log_pi_star=lambda y: math.log(pi[y]), rcheck_sample=None,
+                     log_rcheck=lambda y, v: math.log(rk[y, v]),
+                     omega=lambda y, v: float(pi[v] + 0.1 * (y == v)), n=4,
+                     support=(0, 1, 2))
+
+
+@pytest.mark.parametrize("m", [_gmtm_toy(n) for n in (1, 2, 3, 4)]
+                         + [_random_gmtm(seed, 1 + seed) for seed in range(3)]
+                         + [_benchmark_like_gmtm(seed) for seed in (11, 12, 13)],
+                         ids=[f"toy-{n}-tries" for n in (1, 2, 3, 4)]
+                         + [f"random-{1 + seed}-tries" for seed in range(3)]
+                         + [f"benchmark-like-{seed}" for seed in (11, 12, 13)])
+def test_array_kernel_matches_the_per_tuple_loop(m):
+    """The array pass adds the loop's masses in the loop's order; only its
+    logs and exps are numpy's rather than math's."""
+    got, want = gmtm_exact_kernel(m), gmtm_exact_kernel_loop(m)
+    assert got.space.labels == want.space.labels
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-14
+
+
+def _with_zero_proposals(m: GmtmModel) -> GmtmModel:
+    """rcheck(0, 2) = rcheck(2, 0) = 0, and rcheck(1, 2) = 0 while
+    rcheck(2, 1) > 0: the log rcheck is -inf there."""
+    rk = np.array([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.0, 0.5, 0.5]])
+    with np.errstate(divide="ignore"):
+        log_rk = np.log(rk)
+    return dataclasses.replace(m, log_rcheck=lambda y, v: float(log_rk[y, v]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_tuples_never_proposed_contribute_nothing(n):
+    """No NaN and no numpy warning (warnings are errors in this suite) where
+    both log rchecks of a move are -inf; a move from 2 to 1 is proposed but
+    its reverse never is, so it is rejected."""
+    m = _with_zero_proposals(_random_gmtm(5, n))
+    kernel = gmtm_exact_kernel(m)
+    K = kernel.matrix
+    assert np.all(np.isfinite(K)) and np.allclose(K.sum(axis=1), 1.0, atol=1e-14)
+    assert K[0, 2] == K[2, 0] == K[1, 2] == K[2, 1] == 0.0 < K[0, 1]
+    assert np.max(np.abs(K - gmtm_exact_kernel_loop(m).matrix)) <= 1e-14
+    pi = np.array([math.exp(m.log_pi_star(y)) for y in m.support])
+    assert detailed_balance_check(kernel, ProbVector(pi / pi.sum(), kernel.space)).holds
+
+
+@pytest.mark.parametrize("field, table, factor", [
+    ("omega", lambda y, v: 0.0 if (y, v) == (1, 2) else 1.0, "GMTM omega"),
+    ("omega", lambda y, v: -1.0, "GMTM omega"),
+    ("omega", lambda y, v: math.inf if y == v else 1.0, "GMTM omega"),
+    ("omega", lambda y, v: math.nan, "GMTM omega"),
+    ("log_pi_star", lambda y: -math.inf if y == 2 else 0.0, "GMTM log_pi_star"),
+    ("log_rcheck", lambda y, v: math.nan, "GMTM rcheck")])
+def test_tables_that_make_no_ratio_are_density_errors(field, table, factor):
+    m = dataclasses.replace(_random_gmtm(0, 2), **{field: table})
+    for build in (gmtm_exact_kernel, gmtm_embedding_model):
+        with pytest.raises(DensityError) as info:
+            build(m)
+        assert info.value.factor == factor
 
 
 def test_gmtm_step_long_run_frequencies():
