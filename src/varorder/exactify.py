@@ -196,9 +196,15 @@ def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel) -> FiniteKernel
 def stationary_distribution(K: FiniteKernel) -> ProbVector:
     """Unique pi with pi K = pi: pi (I - K + 1 u^T) = u^T for uniform u.
 
-    Raises ReducibleKernelError when the solve's ||.^-1||_1 estimate exceeds
-    1 / EIGENVALUE_ONE_TOL (the eigenvalue 1 of K is not simple), or when the
-    clipped, renormalized pi leaves a residual |pi K - pi| above INVARIANCE_TOL.
+    Raises ReducibleKernelError when the gate finds ||(I - K + 1 u^T)^-1||_1
+    above 1 / EIGENVALUE_ONE_TOL (the eigenvalue 1 of K is not simple), or when
+    the clipped, renormalized pi leaves a residual |pi K - pi| above
+    INVARIANCE_TOL.
+    The gate is variance._fundamental_solve's: one factorisation when K's
+    Doeblin coefficient eps (the sum of its column minima) gives
+    B = 3 n (2 - eps) / eps <= 1 / (2 EIGENVALUE_ONE_TOL), else Hager's
+    estimator at 3-5 (a zero column minimum, a near-reducible K).  The
+    certified solve keeps a column of ones beside u, so both paths round alike.
     """
     u = np.full(K.size, 1.0 / K.size)
     try:

@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import FiniteKernel, FunctionVector, ProbVector, _require_same_space
+from .kernels import (ENTRY_TOL, FiniteKernel, FunctionVector, ProbVector,
+                      _require_same_space)
 
 INVARIANCE_TOL = 1e-12
 EIGENVALUE_ONE_TOL = 1e-9
@@ -109,6 +110,26 @@ def _solve_with_norm_estimate(Z: np.ndarray, b: np.ndarray,
     return x, max(est, float(np.sum(np.abs(y))))
 
 
+def _doeblin_bound(M: np.ndarray, u: np.ndarray) -> float:
+    """B = 3 n (2 - eps) / eps >= ||Z^{-1}||_1 for Z = I - M + 1 u^T, where
+    eps = sum_y min_x M(x, y) is M's Doeblin coefficient; inf unless eps > 0,
+    M (n, n) is stochastic and u (n,) is a law, both within ENTRY_TOL.
+
+    ||M^t(x, .) - pi||_1 <= 2 (1 - eps)^t bounds ||Z_pi^{-1}||_inf by
+    (2 - eps) / eps for Z_pi^{-1} = I + sum_{t>=1} (M^t - 1 pi^T); since
+    Z_pi 1 = 1 and (u - pi)^T 1 = 0, Sherman-Morrison gives
+    Z^{-1} = (I - 1 (u - pi)^T) Z_pi^{-1}, whose first factor has
+    ||.||_inf <= 3; and ||.||_1 <= n ||.||_inf.  O(n^2).
+    """
+    n = M.shape[-1]
+    column_min = M.min(axis=0)
+    eps = float(column_min.sum())
+    stochastic = (column_min.min() >= -ENTRY_TOL and u.min() >= 0.0
+                  and np.max(np.abs(M.sum(axis=1) - 1.0)) <= ENTRY_TOL
+                  and abs(float(u.sum()) - 1.0) <= ENTRY_TOL)
+    return 3.0 * n * (2.0 - eps) / eps if eps > 0.0 and stochastic else float("inf")
+
+
 def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
                        transposed: bool = False, check_condition: bool = True) -> np.ndarray:
     """Solve Z x = rhs (Z^T x = rhs if transposed) for Z = I - M + 1 u^T.
@@ -117,17 +138,29 @@ def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
     stochastic M is not simple.  ReducibleChainError when LAPACK finds Z
     singular, x is not finite, or (check_condition, for callers that have not
     bounded the spectrum of M away from 1) ||Z^{-1}||_1 is estimated above
-    1 / EIGENVALUE_ONE_TOL.  Without check_condition, M (..., n, n), u
-    (..., n) and rhs (..., n, k) may carry leading stack axes.
+    1 / EIGENVALUE_ONE_TOL.  The gate first tries the Doeblin bound
+    B = 3 n (2 - eps) / eps of _doeblin_bound: B <= 1 / (2 EIGENVALUE_ONE_TOL)
+    proves the norm, and with it Hager's estimate (a lower bound on it), below
+    the limit, so one factorisation suffices; the factor 1/2 is slack for rows
+    summing to 1 only within ENTRY_TOL.  Otherwise (a zero column minimum, a
+    near-reducible M) _solve_with_norm_estimate runs, at 3-5 factorisations.
+    The certified solve carries a column of ones before rhs: LAPACK rounds a
+    lone right-hand side differently, while with two or more each column's
+    result does not depend on the others, so both paths give the same bits.
+    Without check_condition, M (..., n, n), u (..., n) and rhs (..., n, k)
+    may carry leading stack axes.
     """
     n = M.shape[-1]
     Z = u[..., None, :] - M
     Z[..., np.arange(n), np.arange(n)] += 1.0
+    A, est = (np.swapaxes(Z, -1, -2) if transposed else Z), 0.0
     try:
-        if check_condition:
-            x, est = _solve_with_norm_estimate(Z, np.reshape(rhs, (n, -1)), transposed)
+        if not check_condition:
+            x = np.linalg.solve(A, rhs)
+        elif _doeblin_bound(M, u) <= 0.5 / EIGENVALUE_ONE_TOL:
+            x = np.linalg.solve(A, np.column_stack([np.ones(n), np.reshape(rhs, (n, -1))]))[:, 1:]
         else:
-            x, est = np.linalg.solve(np.swapaxes(Z, -1, -2) if transposed else Z, rhs), 0.0
+            x, est = _solve_with_norm_estimate(Z, np.reshape(rhs, (n, -1)), transposed)
     except np.linalg.LinAlgError as exc:
         raise ReducibleChainError(f"I - M + 1u^T is singular ({exc})") from exc
     if not (est <= 1.0 / EIGENVALUE_ONE_TOL and np.all(np.isfinite(x))):
@@ -146,7 +179,12 @@ def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
 
     v = pi fbar^2 + 2 <fbar, g> with (I - P + 1 pi^T) g = P fbar: one gated
     solve, a column per function.  ReducibleChainError when its ||.^-1||_1
-    estimate exceeds 1 / EIGENVALUE_ONE_TOL (eigenvalue 1 of P not simple).
+    (certified or estimated) exceeds 1 / EIGENVALUE_ONE_TOL (eigenvalue 1 of P not simple).  The gate
+    costs one factorisation when P's Doeblin coefficient eps gives
+    B = 3 n (2 - eps) / eps <= 1 / (2 EIGENVALUE_ONE_TOL), else Hager's
+    estimator at 3-5 (a zero column minimum, a near-reducible P); the
+    certified solve keeps a column of ones beside the k functions, so a single
+    f rounds as it does in the estimator's solve (see _fundamental_solve).
     """
     check_invariant(pi, P, "P")
     fbar = F - np.sum(pi * F, axis=-1, keepdims=True)

@@ -213,22 +213,28 @@ def test_extracted_kernel_matches_simulation(model):
     exact = extract_kernel("freeze", model).kernel
 
     import math
+    from bisect import bisect_right
     from varorder.samplers import (AugmentedTargetModel, ProposalS, ProposalT,
-                                   Refresh)
+                                   Refresh, choice_cdf)
     Y, U = model.Y.labels, model.U.labels
     yi = {y: i for i, y in enumerate(Y)}
     ui = {u: i for i, u in enumerate(U)}
+
+    def cdfs(table):  # choice_cdf of every row along the last axis, as nested lists
+        return choice_cdf(table) if table.ndim == 1 else [cdfs(row) for row in table]
+
+    r_cdf, S_cdf, T_cdf = cdfs(model.r), cdfs(model.S), cdfs(model.T)
     m = AugmentedTargetModel(
         log_pi_star=lambda y: math.log(model.pi_star[yi[y]]),
         refresh=Refresh(
-            sample=lambda gen, y: U[gen.choice(len(U), p=model.r[yi[y]])],
+            sample=lambda gen, y: U[bisect_right(r_cdf[yi[y]], gen.random())],
             log_density=lambda y, u: math.log(model.r[yi[y], ui[u]])),
         S=ProposalS(
-            sample=lambda gen, y, u: Y[gen.choice(len(Y), p=model.S[yi[y], ui[u]])],
+            sample=lambda gen, y, u: Y[bisect_right(S_cdf[yi[y]][ui[u]], gen.random())],
             log_density=lambda y, u, yh: math.log(model.S[yi[y], ui[u], yi[yh]])),
         T=ProposalT(
-            sample=lambda gen, y, u, yh: U[gen.choice(
-                len(U), p=model.T[yi[y], ui[u], yi[yh]])],
+            sample=lambda gen, y, u, yh: U[bisect_right(
+                T_cdf[yi[y]][ui[u]][yi[yh]], gen.random())],
             log_density=lambda y, u, yh, uh: math.log(
                 model.T[yi[y], ui[u], yi[yh], ui[uh]])))
     rng = RngStream("freeze", seed=42)

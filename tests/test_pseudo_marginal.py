@@ -1,6 +1,7 @@
 """Importance-weight models: unbiasedness, the freeze wiring, and ABC."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -11,24 +12,27 @@ from varorder.pseudo_marginal import (ABCModel, ImportanceModel,
                                       gaussian_abc_kernel, gimh_as_freeze,
                                       gimh_as_random_refresh, gimh_estimate)
 from varorder.samplers import (ChainState, MarginalProposal, RngStream,
-                               freeze_step, random_refresh_step, run_chain)
+                               choice_cdf, freeze_step, random_refresh_step,
+                               run_chain)
 
 
 def finite_importance_model():
     """The same tables as the finite toy, expressed through callables."""
     _, tab = toys.finite_gimh_toy()
     pi_bar, q = tab["pi_bar"], tab["q"]
+    q_cdf = [choice_cdf(row) for row in q]
     return ImportanceModel(
         log_joint=lambda y, v: math.log(pi_bar[y, v]),
-        q_sample=lambda gen, y: int(gen.choice(2, p=q[y])),
+        q_sample=lambda gen, y: bisect_right(q_cdf[y], gen.random()),
         log_q=lambda y, v: math.log(q[y, v]),
         N=tab["N"]), tab
 
 
 def uniform_proposal(tab):
     s = tab["s_prop"]
+    s_cdf = [choice_cdf(row) for row in s]
     return MarginalProposal(
-        sample=lambda gen, y: int(gen.choice(2, p=s[y])),
+        sample=lambda gen, y: bisect_right(s_cdf[y], gen.random()),
         log_density=lambda y, yh: math.log(s[y, yh]))
 
 
@@ -121,10 +125,10 @@ def test_abc_random_refresh_targets_smoothed_posterior():
     random-refreshment chain matches the exactly computed target."""
     ys = [-1.0, 0.0, 1.0]
     noise = [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]
+    noise_cdf = choice_cdf([p for _, p in noise])
     m = ABCModel(obs=0.5, kernel_K=gaussian_abc_kernel, h=1.0,
                  summary=lambda u: u,
-                 simulator=lambda gen, y: y + [nz for nz, _ in noise][
-                     gen.choice(3, p=[p for _, p in noise])])
+                 simulator=lambda gen, y: y + noise[bisect_right(noise_cdf, gen.random())][0])
     prop = MarginalProposal(sample=lambda gen, y: ys[gen.integers(3)],
                             log_density=lambda y, yh: -math.log(3.0))
     model = abc_random_refresh_model(m, lambda y: 0.0, prop)

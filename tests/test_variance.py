@@ -13,9 +13,11 @@ import pytest
 from varorder.ergodicity import fit_certificate
 from varorder.kernels import (SPECTRAL_TOL, FiniteKernel, FunctionVector,
                               ProbVector, StateSpace, constant_kernel,
-                              identity_kernel)
-from varorder.variance import (AlternatingModel, ReducibleChainError,
-                               SummabilityError, VarianceReport,
+                              identity_kernel, metropolis)
+from varorder.variance import (EIGENVALUE_ONE_TOL, AlternatingModel,
+                               ReducibleChainError, SummabilityError,
+                               VarianceReport, _doeblin_bound,
+                               _fundamental_solve, _solve_with_norm_estimate,
                                alternating_partial_sum_variance,
                                asvar_alternating, asvar_alternating_stack,
                                asvar_homogeneous, asvar_homogeneous_stack,
@@ -63,7 +65,8 @@ def test_identity_kernel_is_rejected():
 
 
 @pytest.mark.parametrize("eps, accepted", [(1e-6, True), (1e-9, True),
-                                          (3e-10, False), (1e-12, False)])
+                                          (3e-10, False), (1e-12, False),
+                                          (2e-8, True), (1e-8, True)])
 def test_near_reducible_gate_boundary(eps, accepted):
     """Both solves gate on ||Z^-1||_1 = 1 / (2 eps) against 1 / EIGENVALUE_ONE_TOL."""
     K = FiniteKernel([[1.0 - eps, eps], [eps, 1.0 - eps]])
@@ -79,6 +82,102 @@ def test_near_reducible_gate_boundary(eps, accepted):
             stationary_distribution(K)
         with pytest.raises(ReducibleChainError):
             asvar_homogeneous(K, pi, f)
+
+
+def gate_kernel(kind, n, rng, delta=0.0):
+    """A random pi-reversible Metropolis kernel and its pi: "dense" (every
+    entry positive), "sparse" (a cycle of neighbours: zero column minima for
+    n >= 4) or "near_reducible" (two dense halves coupled by proposals of
+    weight delta)."""
+    w = rng.uniform(0.2, 1.0, size=n)
+    pi = w / w.sum()
+    proposal = rng.uniform(0.05, 1.0, size=(n, n))
+    if kind == "sparse":
+        i = np.arange(n)
+        ring = np.isin((i[:, None] - i[None, :]) % n, (1, n - 1))
+        proposal = np.where(ring, proposal, 0.0)
+    elif kind == "near_reducible":
+        half = np.arange(n) < n // 2
+        proposal = np.where(half[:, None] == half[None, :], proposal, delta)
+    return metropolis(proposal / proposal.sum(axis=1, keepdims=True), pi), pi
+
+
+@pytest.mark.parametrize("stationary_u", [False, True])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "near_reducible"])
+def test_doeblin_certificate_bounds_the_inverse_and_keeps_the_gate(kind, stationary_u):
+    """Wherever _doeblin_bound certifies Z = I - M + 1 u^T, the exact
+    ||Z^{-1}||_1 is at most B; on every kernel the gate accepts exactly when
+    the Hager estimator alone, run on the same Z, would, and with the same
+    bits."""
+    rng = np.random.default_rng(17 + stationary_u)
+    paths = []
+    for n in (4, 17, 64, 256):
+        for delta in ((1e-2, 1e-6, 1e-9, 1e-13) if kind == "near_reducible" else (0.0,)):
+            M, pi = gate_kernel(kind, n, rng, delta)
+            u = pi if stationary_u else np.full(n, 1.0 / n)
+            Z = u[None, :] - M
+            Z[np.arange(n), np.arange(n)] += 1.0
+            rhs = rng.normal(size=(n, 1))  # one column, as asvar_homogeneous passes
+            bound = _doeblin_bound(M, u)
+            certified = bound <= 0.5 / EIGENVALUE_ONE_TOL
+            if certified:
+                assert np.linalg.norm(np.linalg.inv(Z), 1) <= bound, (n, delta)
+            x, est = _solve_with_norm_estimate(Z, rhs, False)
+            estimator_accepts = est <= 1.0 / EIGENVALUE_ONE_TOL and np.all(np.isfinite(x))
+            try:
+                assert np.array_equal(_fundamental_solve(M, u, rhs), x), (n, delta)
+                accepted = True
+            except ReducibleChainError:
+                accepted = False
+            assert accepted == estimator_accepts, (n, delta)
+            paths.append((certified, accepted))
+    fired = [c for c, _ in paths]
+    if kind == "dense":
+        assert all(fired)
+    elif kind == "sparse":
+        assert not any(fired)
+    else:  # the couplings reach all three outcomes
+        assert {(True, True), (False, True), (False, False)} <= set(paths)
+
+
+def test_certified_gate_factorises_once(monkeypatch):
+    """A kernel with a Doeblin minorisation costs one np.linalg.solve per gated
+    call: a dense 64-state kernel, and the two-state gate-boundary kernel at
+    eps = 2e-8 (B ~ 6 / eps = 3e8 <= 5e8).  At eps = 1e-8 (B ~ 6e8) and on a
+    lazy cyclic walk (zero column minima) the estimator still runs; the walk
+    matches an inverse-based reference."""
+    solve, calls = np.linalg.solve, []
+
+    def counting_solve(*args):
+        calls.append(1)
+        return solve(*args)
+
+    def solves(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    P, pi = random_reversible_kernel(np.random.default_rng(64), 64)
+    f = FunctionVector(np.random.default_rng(1).normal(size=64), P.space)
+    assert solves(lambda: stationary_distribution(P)) == 1
+    assert solves(lambda: asvar_homogeneous(P, pi, f)) == 1
+    for eps, certified in ((2e-8, True), (1e-8, False)):
+        K = FiniteKernel([[1.0 - eps, eps], [eps, 1.0 - eps]])
+        assert (solves(lambda: stationary_distribution(K)) == 1) == certified, eps
+
+    n = 16
+    i = np.arange(n)
+    lazy = 0.5 * np.eye(n) + 0.25 * np.isin((i[:, None] - i[None, :]) % n, (1, n - 1))
+    P, pi = FiniteKernel(lazy), ProbVector(np.full(n, 1.0 / n))
+    f = FunctionVector(np.sin(i) + i, P.space)
+    assert solves(lambda: stationary_distribution(P)) >= 3
+    assert np.max(np.abs(stationary_distribution(P).weights - pi.weights)) <= 1e-12
+    assert solves(lambda: asvar_homogeneous(P, pi, f)) >= 3
+    fbar = f.values - f.values.mean()
+    g = np.linalg.inv(np.eye(n) - lazy + 1.0 / n) @ lazy @ fbar
+    assert asvar_homogeneous(P, pi, f).value == pytest.approx(
+        np.mean(fbar ** 2) + 2.0 * np.mean(fbar * g), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", [3, 12, 64])
