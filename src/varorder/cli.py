@@ -224,7 +224,7 @@ def _run_theorem4_pairs(cfg: ScenarioConfig) -> ScenarioResult:
     min_margin = math.inf
     for group in by_size.values():  # one stacked call per size: [dominated, dominating]
         P0, P1, Q0, Q1, pi, f = toys.lazy_quadruples(group)
-        (v0, v1), _ = asvar_alternating_stack(np.stack([P0, P1]), np.stack([Q0, Q1]), pi, f)
+        (v0, v1), *_ = asvar_alternating_stack(np.stack([P0, P1]), np.stack([Q0, Q1]), pi, f)
         min_margin = min(min_margin, float(np.min(v0 - v1)))
     res.add("alternating", "min_variance_margin", min_margin, seed=cfg.seed)
     res.add("alternating", "pairs_checked", float(n_pairs), seed=cfg.seed)
@@ -419,9 +419,9 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
         res.add(name, "rho", cert.rho, seed=cfg.seed)
         res.add(name, "C", cert.C, seed=cfg.seed)
         res.add(name, "drift_b", cert.b, seed=cfg.seed)
-        res.add(name, "min_bound_slack", report.max_bound_slack, seed=cfg.seed)
+        res.add(name, "min_bound_slack", report.min_bound_slack, seed=cfg.seed)
         res.check(f"{name}: drift and covariance bounds hold", report.holds,
-                  f"summability_certificate slack {report.max_bound_slack!r}")
+                  f"summability_certificate slack {report.min_bound_slack!r}")
         res.report[name] = report.to_document()
     return res
 

@@ -77,7 +77,7 @@ class SummabilityReport:
     f_vhalf_norm: float
     pf_vhalf_norm: float
     scale: float
-    max_bound_slack: float  # min over lags of (bound - |cov|); >= 0 when holds
+    min_bound_slack: float  # min over lags of (bound - |cov|); >= 0 when holds
     holds: bool
 
     def to_document(self) -> dict:
@@ -85,7 +85,7 @@ class SummabilityReport:
                 "f_vhalf_norm": self.f_vhalf_norm,
                 "pf_vhalf_norm": self.pf_vhalf_norm,
                 "scale": self.scale,
-                "max_bound_slack": self.max_bound_slack,
+                "min_bound_slack": self.min_bound_slack,
                 "holds": self.holds}
 
 
@@ -117,5 +117,5 @@ def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
     slack = np.min(gaps, where=lag <= last - parity, initial=np.inf)
     return SummabilityReport(certificate=cert, f_vhalf_norm=f_norm,
                              pf_vhalf_norm=pf_norm, scale=scale,
-                             max_bound_slack=float(slack),
+                             min_bound_slack=float(slack),
                              holds=bool(slack >= -1e-12))

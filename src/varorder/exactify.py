@@ -208,7 +208,7 @@ def stationary_distribution(K: FiniteKernel) -> ProbVector:
     """
     u = np.full(K.size, 1.0 / K.size)
     try:
-        pi = _fundamental_solve(K.matrix, u, u, transposed=True)
+        pi, _ = _fundamental_solve(K.matrix, u, u, transposed=True)
     except ReducibleChainError as exc:
         raise ReducibleKernelError(f"reducible kernel: {exc}") from exc
     pi = np.maximum(pi, 0.0)

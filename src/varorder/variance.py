@@ -110,10 +110,20 @@ def _solve_with_norm_estimate(Z: np.ndarray, b: np.ndarray,
     return x, max(est, float(np.sum(np.abs(y))))
 
 
+def _doeblin_coefficient(M: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """eps = sum_y min_x M(x, y), the Doeblin coefficient of kernels M
+    (..., n, n), for laws u (..., n) with broadcastable stacks; 0 where eps < 0,
+    M is not stochastic or u is not a law, both within ENTRY_TOL.  O(n^2)."""
+    column_min = M.min(axis=-2)
+    stochastic = ((column_min.min(axis=-1) >= -ENTRY_TOL) & (u.min(axis=-1) >= 0.0)
+                  & (np.max(np.abs(M.sum(axis=-1) - 1.0), axis=-1) <= ENTRY_TOL)
+                  & (np.abs(u.sum(axis=-1) - 1.0) <= ENTRY_TOL))
+    return np.where(stochastic, np.maximum(column_min.sum(axis=-1), 0.0), 0.0)
+
+
 def _doeblin_bound(M: np.ndarray, u: np.ndarray) -> float:
     """B = 3 n (2 - eps) / eps >= ||Z^{-1}||_1 for Z = I - M + 1 u^T, where
-    eps = sum_y min_x M(x, y) is M's Doeblin coefficient; inf unless eps > 0,
-    M (n, n) is stochastic and u (n,) is a law, both within ENTRY_TOL.
+    eps is M's _doeblin_coefficient; inf when eps = 0.
 
     ||M^t(x, .) - pi||_1 <= 2 (1 - eps)^t bounds ||Z_pi^{-1}||_inf by
     (2 - eps) / eps for Z_pi^{-1} = I + sum_{t>=1} (M^t - 1 pi^T); since
@@ -121,18 +131,17 @@ def _doeblin_bound(M: np.ndarray, u: np.ndarray) -> float:
     Z^{-1} = (I - 1 (u - pi)^T) Z_pi^{-1}, whose first factor has
     ||.||_inf <= 3; and ||.||_1 <= n ||.||_inf.  O(n^2).
     """
-    n = M.shape[-1]
-    column_min = M.min(axis=0)
-    eps = float(column_min.sum())
-    stochastic = (column_min.min() >= -ENTRY_TOL and u.min() >= 0.0
-                  and np.max(np.abs(M.sum(axis=1) - 1.0)) <= ENTRY_TOL
-                  and abs(float(u.sum()) - 1.0) <= ENTRY_TOL)
-    return 3.0 * n * (2.0 - eps) / eps if eps > 0.0 and stochastic else float("inf")
+    eps = float(_doeblin_coefficient(M, u))
+    return 3.0 * M.shape[-1] * (2.0 - eps) / eps if eps > 0.0 else float("inf")
 
 
 def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
-                       transposed: bool = False, check_condition: bool = True) -> np.ndarray:
-    """Solve Z x = rhs (Z^T x = rhs if transposed) for Z = I - M + 1 u^T.
+                       transposed: bool = False,
+                       check_condition: bool = True) -> tuple[np.ndarray, dict]:
+    """Solve Z x = rhs (Z^T x = rhs if transposed) for Z = I - M + 1 u^T;
+    returns x and the gate's record: {"gate": "doeblin", "inverse_norm": B}
+    or {"gate": "hager", "inverse_norm": Hager's estimate}, {} without
+    check_condition.
 
     For u summing to 1, Z is singular exactly when the eigenvalue 1 of the
     stochastic M is not simple.  ReducibleChainError when LAPACK finds Z
@@ -153,19 +162,22 @@ def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
     n = M.shape[-1]
     Z = u[..., None, :] - M
     Z[..., np.arange(n), np.arange(n)] += 1.0
-    A, est = (np.swapaxes(Z, -1, -2) if transposed else Z), 0.0
+    A, gate = (np.swapaxes(Z, -1, -2) if transposed else Z), {}
     try:
         if not check_condition:
             x = np.linalg.solve(A, rhs)
-        elif _doeblin_bound(M, u) <= 0.5 / EIGENVALUE_ONE_TOL:
+        elif (bound := _doeblin_bound(M, u)) <= 0.5 / EIGENVALUE_ONE_TOL:
             x = np.linalg.solve(A, np.column_stack([np.ones(n), np.reshape(rhs, (n, -1))]))[:, 1:]
+            gate = {"gate": "doeblin", "inverse_norm": bound}
         else:
             x, est = _solve_with_norm_estimate(Z, np.reshape(rhs, (n, -1)), transposed)
+            gate = {"gate": "hager", "inverse_norm": est}
     except np.linalg.LinAlgError as exc:
         raise ReducibleChainError(f"I - M + 1u^T is singular ({exc})") from exc
+    est = gate.get("inverse_norm", 0.0)
     if not (est <= 1.0 / EIGENVALUE_ONE_TOL and np.all(np.isfinite(x))):
         raise ReducibleChainError(f"eigenvalue 1 is not simple: ||Z^-1||_1 ~ {est:.3e}")
-    return x.reshape(np.shape(rhs))
+    return x.reshape(np.shape(rhs)), gate
 
 
 def _inner(pi: ProbVector, a: np.ndarray, b: np.ndarray) -> float:
@@ -173,9 +185,10 @@ def _inner(pi: ProbVector, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
-                            F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                            F: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """Exact asymptotic variances of k functions F (k, n) of one homogeneous
-    chain P (n, n) with stationary pi (n,); returns (values, variance_of_f).
+    chain P (n, n) with stationary pi (n,); returns (values, variance_of_f,
+    gate), gate being _fundamental_solve's record of the ||.^-1||_1 it gated on.
 
     v = pi fbar^2 + 2 <fbar, g> with (I - P + 1 pi^T) g = P fbar: one gated
     solve, a column per function.  ReducibleChainError when its ||.^-1||_1
@@ -188,36 +201,61 @@ def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
     """
     check_invariant(pi, P, "P")
     fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
-    g = _fundamental_solve(P, pi, P @ fbar.T)
+    g, gate = _fundamental_solve(P, pi, P @ fbar.T)
     w = pi * fbar
     var_f = np.sum(w * fbar, axis=-1)
-    return np.maximum(var_f + 2.0 * np.sum(w * g.T, axis=-1), 0.0), var_f
+    return np.maximum(var_f + 2.0 * np.sum(w * g.T, axis=-1), 0.0), var_f, gate
 
 
 def asvar_homogeneous(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> VarianceReport:
     """Exact asymptotic variance of a homogeneous chain: asvar_homogeneous_stack for one f."""
-    (value,), (var_f,) = asvar_homogeneous_stack(P.matrix, pi.weights, f.values[None, :])
+    (value,), (var_f,), gate = asvar_homogeneous_stack(P.matrix, pi.weights, f.values[None, :])
     return VarianceReport(value=float(value), method="closed_form",
-                          diagnostics={"variance_of_f": float(var_f)})
+                          diagnostics={"variance_of_f": float(var_f), **gate})
 
 
-def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray]:
+def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact asymptotic variances of a stack of alternating P,Q,P,Q,... chains.
 
     P, Q: (..., n, n) and pi, f: (..., n) with broadcastable leading axes;
-    returns (values, rho) of the leading shape.  PQ - 1 pi^T is
-    (P - 1 pi^T)(Q - 1 pi^T) and QP - 1 pi^T the reverse product, so one
-    spectrum per member gives the centered spectral radius rho of both.
-    ValueError when pi is not invariant for some P or Q; SummabilityError
-    (worst rho) when some rho >= 1 - SPECTRAL_MARGIN.
+    returns (values, bound, certified) of the leading shape: bound caps the
+    centered spectral radius rho of PQ - 1 pi^T, which is also QP's, since
+    PQ - 1 pi^T = (P - 1 pi^T)(Q - 1 pi^T) and QP - 1 pi^T is the reverse
+    product.  ValueError when pi is not invariant for some P or Q;
+    SummabilityError, with the worst member's rho, when some
+    rho >= 1 - SPECTRAL_MARGIN.
+
+    The gate first takes the Doeblin coefficient eps = sum_y m_y,
+    m_y = min_x PQ(x, y), of each member (_doeblin_coefficient, one O(n^2)
+    pass).  eps >= 2 SPECTRAL_MARGIN + 2 n ENTRY_TOL proves the member summable
+    (certified, bound 1 - eps); the other members (a zero column minimum, rows
+    not stochastic or pi not a law within ENTRY_TOL, a tiny eps) run
+    np.linalg.eigvals and report their exact rho, so a SummabilityError carries
+    the exact rho of the worst member.  Proof, with d = ENTRY_TOL and K = PQ:
+    for mu (K - 1 pi^T) = lambda mu, |mu|_1 = 1, s = mu 1, multiplying by 1
+    gives s (lambda + pi 1 - 1) = mu (K 1 - 1), so |s| <= 4 d when
+    |lambda| >= 1/2.  K = 1 m^T + R with R >= 0 of row sums <= 1 + d - eps, so
+    lambda mu = mu R + s (m - pi)^T and, as |m|_1 + |pi|_1 <= 3 (n d <= 1/4),
+    |lambda| <= 1 - eps + 13 d.  (For exactly stochastic K this is Dobrushin's
+    rho <= 1 - eps; pi's invariance is not used.)  The threshold exceeds
+    SPECTRAL_MARGIN + 13 d by at least 0.9 SPECTRAL_MARGIN, and the argument
+    holds for any K moved by that little, such as eigvals' backward error, so a
+    certified member also passes the eigvals test: both gates decide alike.
     """
     D = np.stack([P, Q], axis=-3)
     check_invariant(pi[..., None, :], D, "some P or Q")
     pi_rows = pi[..., None, None, :]  # the rows of 1 pi^T, against (..., 2, n, n)
     M = D @ D[..., ::-1, :, :]  # PQ and QP
-    rho = np.max(np.abs(np.linalg.eigvals(M[..., 0, :, :] - pi[..., None, :])), axis=-1)
-    if np.any(rho >= 1.0 - SPECTRAL_MARGIN):
-        worst = float(np.max(rho))
+    PQ = M[..., 0, :, :]
+    pis = np.broadcast_to(pi, PQ.shape[:-1])
+    eps = _doeblin_coefficient(PQ, pis)
+    certified = eps >= 2.0 * SPECTRAL_MARGIN + 2.0 * PQ.shape[-1] * ENTRY_TOL
+    bound, open_ = np.where(certified, 1.0 - eps, 0.0), ~certified
+    if np.any(open_):
+        bound[open_] = np.max(np.abs(np.linalg.eigvals(PQ[open_] - pis[open_][..., None, :])),
+                              axis=-1)
+    if np.any(bound >= 1.0 - SPECTRAL_MARGIN):
+        worst = float(np.max(bound))
         raise SummabilityError(
             f"absolute-summability condition fails: centered spectral radius {worst:.12f}",
             spectral_radius=worst)
@@ -227,18 +265,20 @@ def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray]:
     # column of one stacked solve; rho < 1 keeps Z away from singular: no estimate.
     fcol = fbar[..., None, :, None]
     rhs = np.concatenate([(M - pi_rows) @ fcol, (D - pi_rows) @ fcol], axis=-1)
-    tails = _fundamental_solve(M, pi[..., None, :], rhs, check_condition=False)
+    tails, _ = _fundamental_solve(M, pi[..., None, :], rhs, check_condition=False)
     w = pi * fbar
     values = np.sum(w * fbar, axis=-1) + np.einsum("...i,...aib->...", w, tails)
-    return np.maximum(values, 0.0), rho
+    return np.maximum(values, 0.0), bound, certified
 
 
 def asvar_alternating(m: AlternatingModel) -> VarianceReport:
     """Exact asymptotic variance of the alternating P,Q,P,Q,... chain: one
     member of asvar_alternating_stack."""
-    value, rho = asvar_alternating_stack(m.P.matrix, m.Q.matrix, m.pi.weights, m.f.values)
+    value, bound, certified = asvar_alternating_stack(m.P.matrix, m.Q.matrix,
+                                                      m.pi.weights, m.f.values)
     return VarianceReport(value=float(value), method="closed_form",
-                          diagnostics={"spectral_radius": float(rho)})
+                          diagnostics={"spectral_radius_bound": float(bound),
+                                       "gate": "doeblin" if certified else "eigvals"})
 
 
 def alternating_autocov(P: np.ndarray, Q: np.ndarray, pi: np.ndarray,

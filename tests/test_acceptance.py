@@ -221,7 +221,7 @@ def test_criterion_09_geometric_certificates():
             f = FunctionVector(rng.normal(size=pi.space.size), pi.space)
             report = summability_certificate(P, Q, pi, f, V, n_horizon=50)
             assert report.holds
-            assert report.max_bound_slack >= 0.0
+            assert report.min_bound_slack >= 0.0
 
 
 def test_criterion_10_batch_means_consistency():

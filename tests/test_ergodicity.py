@@ -182,7 +182,7 @@ def test_summability_certificate_holds_on_registry_toy():
         f = FunctionVector(rng.normal(size=pi.space.size), pi.space)
         report = summability_certificate(P, Q, pi, f, V, n_horizon=50)
         assert report.holds
-        assert report.max_bound_slack >= 0.0
+        assert report.min_bound_slack >= 0.0
         assert report.scale >= max(report.f_vhalf_norm, report.pf_vhalf_norm) - 1e-12
 
 
@@ -215,7 +215,7 @@ def test_summability_slack_equals_the_lag_by_lag_minimum():
             fbar = f.values - float(np.sum(pi.weights * f.values))
             expected = lag_by_lag_slack(P, Q, pi, fbar / report.scale, report.certificate.C,
                                         report.certificate.rho, piV, n_horizon)
-            assert report.max_bound_slack == pytest.approx(expected, rel=1e-15, abs=0.0)
+            assert report.min_bound_slack == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_summability_certificate_document():

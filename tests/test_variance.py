@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from varorder.ergodicity import fit_certificate
-from varorder.kernels import (SPECTRAL_TOL, FiniteKernel, FunctionVector,
-                              ProbVector, StateSpace, constant_kernel,
-                              identity_kernel, metropolis)
-from varorder.variance import (EIGENVALUE_ONE_TOL, AlternatingModel,
-                               ReducibleChainError, SummabilityError,
-                               VarianceReport, _doeblin_bound,
+from varorder.kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel,
+                              FunctionVector, ProbVector, StateSpace,
+                              constant_kernel, identity_kernel, metropolis)
+from varorder.variance import (EIGENVALUE_ONE_TOL, SPECTRAL_MARGIN,
+                               AlternatingModel, ReducibleChainError,
+                               SummabilityError, VarianceReport,
+                               _doeblin_bound, _doeblin_coefficient,
                                _fundamental_solve, _solve_with_norm_estimate,
                                alternating_partial_sum_variance,
                                asvar_alternating, asvar_alternating_stack,
@@ -125,7 +126,7 @@ def test_doeblin_certificate_bounds_the_inverse_and_keeps_the_gate(kind, station
             x, est = _solve_with_norm_estimate(Z, rhs, False)
             estimator_accepts = est <= 1.0 / EIGENVALUE_ONE_TOL and np.all(np.isfinite(x))
             try:
-                assert np.array_equal(_fundamental_solve(M, u, rhs), x), (n, delta)
+                assert np.array_equal(_fundamental_solve(M, u, rhs)[0], x), (n, delta)
                 accepted = True
             except ReducibleChainError:
                 accepted = False
@@ -186,7 +187,7 @@ def test_homogeneous_stack_matches_per_function_calls(n, k):
     rng = np.random.default_rng(100 * n + k)
     P, pi = random_reversible_kernel(rng, n)
     F = rng.normal(size=(k, n))
-    values, var_f = asvar_homogeneous_stack(P.matrix, pi.weights, F)
+    values, var_f, _ = asvar_homogeneous_stack(P.matrix, pi.weights, F)
     assert values.shape == var_f.shape == (k,)
     for j in range(k):
         report = asvar_homogeneous(P, pi, FunctionVector(F[j], P.space))
@@ -209,7 +210,7 @@ def test_homogeneous_stack_keeps_the_reducibility_gate(eps):
 def test_homogeneous_stack_accepts_the_near_reducible_kernels_the_gate_admits(eps):
     P = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
     F = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
-    values, _ = asvar_homogeneous_stack(P, np.array([0.5, 0.5]), F)
+    values = asvar_homogeneous_stack(P, np.array([0.5, 0.5]), F)[0]
     # v = pi(fbar^2) (1 + lambda) / (1 - lambda) with lambda = 1 - 2 eps
     spread = (F[:, 1] - F[:, 0]) ** 2 / 4.0
     assert values == pytest.approx(spread * (1 - eps) / eps, rel=1e-6, abs=1e-300)
@@ -331,8 +332,10 @@ def test_deflated_pq_and_qp_share_spectral_radius():
         rho_pq, rho_qp = deflated_spectral_radius(A, pi), deflated_spectral_radius(B, pi)
         assert abs(rho_pq - rho_qp) <= SPECTRAL_TOL
         f = FunctionVector(np.ones(pi.space.size), pi.space)
-        rho = asvar_alternating(AlternatingModel(P, Q, pi, f)).diagnostics["spectral_radius"]
-        assert abs(rho - max(rho_pq, rho_qp)) <= SPECTRAL_TOL
+        bound = asvar_alternating(AlternatingModel(P, Q, pi, f)).diagnostics[
+            "spectral_radius_bound"]
+        assert max(rho_pq, rho_qp) <= bound + SPECTRAL_TOL
+        assert bound < 1.0 - SPECTRAL_MARGIN
 
 
 def random_pair_arrays(rng, n):
@@ -347,16 +350,17 @@ def test_stacked_engine_matches_per_model_calls():
     members = [random_pair_arrays(rng, 5) for _ in range(12)]
     P, Q, pi, f = (np.array(column).reshape(3, 4, *column[0].shape)
                    for column in zip(*members))
-    values, rho = asvar_alternating_stack(P, Q, pi, f)
-    assert values.shape == rho.shape == (3, 4)
+    values, bound, certified = asvar_alternating_stack(P, Q, pi, f)
+    assert values.shape == bound.shape == certified.shape == (3, 4)
     for k, (Pk, Qk, pik, fk) in enumerate(members):
         sp = StateSpace(range(5))
         report = asvar_alternating(AlternatingModel(
             FiniteKernel(Pk, sp), FiniteKernel(Qk, sp), ProbVector(pik, sp),
             FunctionVector(fk, sp)))
         assert values.flat[k] == pytest.approx(report.value, rel=1e-14, abs=0)
-        assert rho.flat[k] == pytest.approx(report.diagnostics["spectral_radius"],
-                                            rel=1e-14, abs=0)
+        assert bound.flat[k] == pytest.approx(report.diagnostics["spectral_radius_bound"],
+                                              rel=1e-14, abs=0)
+        assert report.diagnostics["gate"] == ("doeblin" if certified.flat[k] else "eigvals")
 
 
 def test_stack_containing_the_flip_pair_raises_summability_error():
@@ -367,6 +371,143 @@ def test_stack_containing_the_flip_pair_raises_summability_error():
         asvar_alternating_stack(np.stack([P, flip]), np.stack([Q, flip]),
                                 np.stack([pi, [0.5, 0.5]]), np.stack([f, [-1.0, 1.0]]))
     assert info.value.spectral_radius >= 1.0 - 1e-9
+
+
+def eigvals_gate(P, Q, pi):
+    """The gate without a certificate: the centered spectral radius of every
+    member's PQ from np.linalg.eigvals, the product formed as
+    asvar_alternating_stack forms it."""
+    D = np.stack([P, Q], axis=-3)
+    PQ = (D @ D[..., ::-1, :, :])[..., 0, :, :]
+    return np.max(np.abs(np.linalg.eigvals(PQ - pi[..., None, :])), axis=-1)
+
+
+def lazy_ring(n, lazy):
+    i = np.arange(n)
+    ring = np.isin((i[:, None] - i[None, :]) % n, (1, n - 1))
+    return lazy * np.eye(n) + 0.5 * (1.0 - lazy) * ring
+
+
+def test_doeblin_gate_bounds_the_spectral_radius():
+    """Wherever the alternating gate certifies a member, its bound is
+    1 - eps for PQ's Doeblin coefficient eps and caps the deflated rho from
+    eigvals.  Dense random pairs, lazy quadruples (n = 2-12) and the 256-state
+    refresh/freeze pair are all certified."""
+    rng = np.random.default_rng(71)
+    cases = []
+    for n in range(2, 13):
+        P0, P1, Q0, Q1, pi, f = toys.lazy_quadruples(
+            [toys.lazy_quadruple_draws(rng, n) for _ in range(20)])
+        cases.append((np.stack([P0, P1]), np.stack([Q0, Q1]), pi, f))
+    for n in (2, 5, 17, 64):
+        cases.append(tuple(np.array(column) for column in
+                           zip(*(random_pair_arrays(rng, n) for _ in range(4)))))
+    P, Q, pi = random_refresh_freeze_pair(rng, 16, 16)
+    cases.append((P.matrix, Q.matrix, pi.weights, np.ones(256)))
+    for P, Q, pi, f in cases:
+        _, bound, certified = asvar_alternating_stack(P, Q, pi, f)
+        assert np.all(certified), P.shape
+        pis = np.broadcast_to(pi, bound.shape + pi.shape[-1:])
+        assert bound == pytest.approx(1.0 - _doeblin_coefficient(P @ Q, pis), rel=0, abs=1e-14)
+        assert np.all(eigvals_gate(P, Q, pi) <= bound + SPECTRAL_TOL), P.shape
+
+
+def gate_inputs(name):
+    """(P, Q, pi, f) arrays on which the certificate is open or fires."""
+    rng = np.random.default_rng(73)
+    flip, uniform = toys.flip_kernel().matrix, np.array([0.5, 0.5])
+    if name == "flip":
+        return flip, flip, uniform, np.array([-1.0, 1.0])
+    if name == "sparse_ring":  # PQ has zero column minima
+        return lazy_ring(16, 0.5), lazy_ring(16, 0.3), np.full(16, 1.0 / 16), np.sin(np.arange(16))
+    if name == "rows_off_one":  # row 0 sums to 1 + 1e-8; pi_0 = 1e-4 keeps pi invariant
+        pi = np.array([1e-4, 0.3, 0.3, 0.4 - 1e-4])
+        proposal = rng.uniform(0.05, 1.0, (4, 4))
+        P = metropolis(proposal / proposal.sum(axis=1, keepdims=True), pi)
+        P[0] *= 1.0 + 1e-8
+        return P, P.T * pi[None, :] / pi[:, None], pi, rng.normal(size=4)
+    if name == "pi_not_a_law":  # pi 1 = 2 moves the eigenvalue 1 of PQ to -1
+        P, Q, pi, f = random_pair_arrays(rng, 3)
+        return P, Q, 2.0 * pi, f
+    if name.startswith("two_state"):  # PQ = K with rho = 1 - e and Doeblin eps = e
+        e = float(name.split("_")[-1])
+        K = np.array([[1.0 - e / 2, e / 2], [e / 2, 1.0 - e / 2]])
+        return K, np.eye(2), uniform, np.array([0.0, 1.0])
+    if name == "stack_with_flip":
+        P, Q, pi, f = random_pair_arrays(rng, 2)
+        return (np.stack([P, flip]), np.stack([Q, flip]), np.stack([pi, uniform]),
+                np.stack([f, [-1.0, 1.0]]))
+    assert name == "stack_with_ring"
+    members = [random_pair_arrays(rng, 16), gate_inputs("sparse_ring"), random_pair_arrays(rng, 16)]
+    return tuple(np.array(column) for column in zip(*members))
+
+
+@pytest.mark.parametrize("name", ["flip", "sparse_ring", "rows_off_one", "pi_not_a_law",
+                                  "two_state_3e-9", "two_state_1.5e-9", "two_state_5e-10",
+                                  "stack_with_flip", "stack_with_ring"])
+def test_doeblin_gate_decides_as_eigvals_does(name):
+    """The certified gate accepts and raises exactly where the eigvals-only
+    gate does, with the same spectral_radius when it raises and the exact rho
+    of every member the certificate leaves open."""
+    P, Q, pi, f = gate_inputs(name)
+    rho = eigvals_gate(P, Q, pi)
+    if np.any(rho >= 1.0 - SPECTRAL_MARGIN):
+        with pytest.raises(SummabilityError) as info:
+            asvar_alternating_stack(P, Q, pi, f)
+        assert info.value.spectral_radius == float(np.max(rho))
+        return
+    _, bound, certified = asvar_alternating_stack(P, Q, pi, f)
+    assert np.array_equal(bound[~certified], rho[~certified])
+    assert np.all(rho <= bound + SPECTRAL_TOL) and np.all(bound < 1.0 - SPECTRAL_MARGIN)
+    expected = {"sparse_ring": [False], "rows_off_one": [False], "two_state_3e-9": [True],
+                "two_state_1.5e-9": [False], "stack_with_ring": [True, False, True]}[name]
+    assert np.array_equal(np.ravel(certified), expected)
+
+
+def test_certified_alternating_gate_skips_eigvals(monkeypatch):
+    """No eigensolve on the dense 256-state refresh/freeze pair; the flip pair
+    and a sparse ring still run one, and each report names its gate."""
+    eigvals, calls = np.linalg.eigvals, []
+
+    def counting_eigvals(*args):
+        calls.append(1)
+        return eigvals(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    P, Q, pi = random_refresh_freeze_pair(np.random.default_rng(79), 16, 16)
+    report = asvar_alternating(AlternatingModel(P, Q, pi, FunctionVector(np.ones(256), pi.space)))
+    assert len(calls) == 0 and report.diagnostics["gate"] == "doeblin"
+    with pytest.raises(SummabilityError):
+        asvar_alternating_stack(*gate_inputs("flip"))
+    assert len(calls) >= 1
+    calls.clear()
+    sp = StateSpace(range(16))
+    P, Q, pi, f = gate_inputs("sparse_ring")
+    report = asvar_alternating(AlternatingModel(FiniteKernel(P, sp), FiniteKernel(Q, sp),
+                                                ProbVector(pi, sp), FunctionVector(f, sp)))
+    assert len(calls) == 1 and report.diagnostics["gate"] == "eigvals"
+
+
+def test_homogeneous_report_names_its_gate():
+    """asvar_homogeneous reports the ||Z^-1||_1 figure its gate used: the
+    Doeblin cap B (an upper bound) on a dense kernel, Hager's estimate (a
+    lower bound) on a lazy ring with zero column minima."""
+    P, pi = random_reversible_kernel(np.random.default_rng(83), 64)
+    f = FunctionVector(np.cos(np.arange(64)), P.space)
+    ring = FiniteKernel(lazy_ring(16, 0.5))
+    for K, law, g, gate in ((P, pi, f, "doeblin"),
+                            (ring, ProbVector(np.full(16, 1.0 / 16)),
+                             FunctionVector(np.sin(np.arange(16)), ring.space), "hager")):
+        report = asvar_homogeneous(K, law, g)
+        assert report.diagnostics["gate"] == gate
+        n = K.size
+        Z = np.eye(n) - K.matrix + law.weights[None, :]
+        norm = np.linalg.norm(np.linalg.inv(Z), 1)
+        figure = report.diagnostics["inverse_norm"]
+        if gate == "doeblin":
+            assert figure == _doeblin_bound(K.matrix, law.weights) and norm <= figure
+        else:
+            assert figure <= norm * (1 + 1e-12) and figure <= 1.0 / EIGENVALUE_ONE_TOL
 
 
 def test_stack_member_without_invariant_pi_raises_value_error():
