@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import (FiniteKernel, ProbVector, StateSpace, _mh_acceptance,
-                      check_stochastic)
-from .variance import INVARIANCE_TOL, ReducibleChainError, _fundamental_solve
+from .kernels import (ENTRY_TOL, FiniteKernel, ProbVector, StateSpace,
+                      _mh_acceptance, check_stochastic)
+from .variance import (EIGENVALUE_ONE_TOL, _doeblin_bound, _doeblin_coefficient,
+                       _fundamental_solve, check_invariant)
 
 MAX_JOINT_STATES = 256
 
@@ -194,28 +195,47 @@ def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel) -> FiniteKernel
 
 
 def stationary_distribution(K: FiniteKernel) -> ProbVector:
-    """Unique pi with pi K = pi: pi (I - K + 1 u^T) = u^T for uniform u.
+    """Unique pi with pi K = pi, by one of two routes.
 
-    Raises ReducibleKernelError when the gate finds ||(I - K + 1 u^T)^-1||_1
-    above 1 / EIGENVALUE_ONE_TOL (the eigenvalue 1 of K is not simple), or when
-    the clipped, renormalized pi leaves a residual |pi K - pi| above
-    INVARIANCE_TOL.
-    The gate is variance._fundamental_solve's: one factorisation when K's
-    Doeblin coefficient eps (the sum of its column minima) gives
-    B = 3 n (2 - eps) / eps <= 1 / (2 EIGENVALUE_ONE_TOL), else Hager's
-    estimator at 3-5 (a zero column minimum, a near-reducible K).  The
-    certified solve keeps a column of ones beside u, so both paths round alike.
+    Ratio route, for kernels the Doeblin gate certifies (below).  A
+    pi-reversible K has pi(y) K(y, c) = pi(c) K(c, y), so the candidate is
+    x(y) proportional to K(c, y) / K(y, c), O(n^2) with the check; c is the
+    column with the largest minimum, so K(., c) >= eps / n > 0.  With
+    Z_pi = I - K + 1 pi^T and r = x K - x, x Z_pi = pi - r, so
+    x - pi = -r Z_pi^{-1}, and Dobrushin's ||K^t(y, .) - pi||_1 <= 2 (1 - eps)^t
+    gives ||Z_pi^{-1}||_inf <= (2 - eps) / eps.  x is returned when
+    ||r||_1 (2 - eps) / eps <= ENTRY_TOL, which caps ||x - pi||_1 at ENTRY_TOL
+    and |x K - x| at INVARIANCE_TOL.  Caveat: r is the computed residual; its
+    own rounding (about n machine epsilons of x K) and rows summing to 1 only
+    within ENTRY_TOL are outside the bound.
+
+    LU route, for every other kernel (not reversible, or not certified):
+    pi (I - K + 1 u^T) = u^T for uniform u through variance._fundamental_solve,
+    whose gate makes one factorisation when K's Doeblin coefficient eps (the
+    sum of its column minima) gives B = 3 n (2 - eps) / eps
+    <= 1 / (2 EIGENVALUE_ONE_TOL), else runs Hager's estimator at 3-5 (a zero
+    column minimum, a near-reducible K).  Raises ReducibleKernelError when
+    that gate finds ||(I - K + 1 u^T)^-1||_1 above 1 / EIGENVALUE_ONE_TOL (the
+    eigenvalue 1 of K is not simple), or when the clipped, renormalized pi
+    fails variance.check_invariant.  The ratio route is taken only where the
+    LU route's gate passes, so both routes accept and reject the same kernels.
     """
-    u = np.full(K.size, 1.0 / K.size)
+    M, n = K.matrix, K.size
+    u = np.full(n, 1.0 / n)
+    eps = float(_doeblin_coefficient(M, u))
+    if _doeblin_bound(M, u, eps) <= 0.5 / EIGENVALUE_ONE_TOL:
+        c = int(np.argmax(M.min(axis=0)))
+        x = np.maximum(M[c] / M[:, c], 0.0)
+        x = x / x.sum()
+        if np.sum(np.abs(x @ M - x)) * (2.0 - eps) / eps <= ENTRY_TOL:
+            return ProbVector(x, K.space)
     try:
-        pi, _ = _fundamental_solve(K.matrix, u, u, transposed=True)
-    except ReducibleChainError as exc:
+        pi, _ = _fundamental_solve(M, u, u, transposed=True, eps=eps)
+        pi = np.maximum(pi, 0.0)
+        pi = pi / pi.sum()
+        check_invariant(pi, M, "K")
+    except ValueError as exc:  # ReducibleChainError or check_invariant's
         raise ReducibleKernelError(f"reducible kernel: {exc}") from exc
-    pi = np.maximum(pi, 0.0)
-    pi = pi / pi.sum()
-    resid = np.max(np.abs(pi @ K.matrix - pi))
-    if resid > INVARIANCE_TOL:
-        raise ReducibleKernelError(f"stationary solve residual {resid:.3e} too large")
     return ProbVector(pi, K.space)
 
 

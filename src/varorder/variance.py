@@ -121,9 +121,10 @@ def _doeblin_coefficient(M: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(stochastic, np.maximum(column_min.sum(axis=-1), 0.0), 0.0)
 
 
-def _doeblin_bound(M: np.ndarray, u: np.ndarray) -> float:
+def _doeblin_bound(M: np.ndarray, u: np.ndarray, eps: float | None = None) -> float:
     """B = 3 n (2 - eps) / eps >= ||Z^{-1}||_1 for Z = I - M + 1 u^T, where
-    eps is M's _doeblin_coefficient; inf when eps = 0.
+    eps is M's _doeblin_coefficient (computed unless the caller has it); inf
+    when eps = 0.
 
     ||M^t(x, .) - pi||_1 <= 2 (1 - eps)^t bounds ||Z_pi^{-1}||_inf by
     (2 - eps) / eps for Z_pi^{-1} = I + sum_{t>=1} (M^t - 1 pi^T); since
@@ -131,13 +132,14 @@ def _doeblin_bound(M: np.ndarray, u: np.ndarray) -> float:
     Z^{-1} = (I - 1 (u - pi)^T) Z_pi^{-1}, whose first factor has
     ||.||_inf <= 3; and ||.||_1 <= n ||.||_inf.  O(n^2).
     """
-    eps = float(_doeblin_coefficient(M, u))
+    eps = float(_doeblin_coefficient(M, u)) if eps is None else eps
     return 3.0 * M.shape[-1] * (2.0 - eps) / eps if eps > 0.0 else float("inf")
 
 
 def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
                        transposed: bool = False,
-                       check_condition: bool = True) -> tuple[np.ndarray, dict]:
+                       check_condition: bool = True,
+                       eps: float | None = None) -> tuple[np.ndarray, dict]:
     """Solve Z x = rhs (Z^T x = rhs if transposed) for Z = I - M + 1 u^T;
     returns x and the gate's record: {"gate": "doeblin", "inverse_norm": B}
     or {"gate": "hager", "inverse_norm": Hager's estimate}, {} without
@@ -157,7 +159,8 @@ def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
     lone right-hand side differently, while with two or more each column's
     result does not depend on the others, so both paths give the same bits.
     Without check_condition, M (..., n, n), u (..., n) and rhs (..., n, k)
-    may carry leading stack axes.
+    may carry leading stack axes.  eps, when given, is M's
+    _doeblin_coefficient for this u, already computed by the caller.
     """
     n = M.shape[-1]
     Z = u[..., None, :] - M
@@ -166,7 +169,7 @@ def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
     try:
         if not check_condition:
             x = np.linalg.solve(A, rhs)
-        elif (bound := _doeblin_bound(M, u)) <= 0.5 / EIGENVALUE_ONE_TOL:
+        elif (bound := _doeblin_bound(M, u, eps)) <= 0.5 / EIGENVALUE_ONE_TOL:
             x = np.linalg.solve(A, np.column_stack([np.ones(n), np.reshape(rhs, (n, -1))]))[:, 1:]
             gate = {"gate": "doeblin", "inverse_norm": bound}
         else:

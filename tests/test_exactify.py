@@ -13,7 +13,9 @@ from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
                                marginal_mh_proposal, random_refresh_kernel,
                                stationary_distribution, systematic_refresh_kernel,
                                total_variation, y_marginal_of)
-from varorder.kernels import FiniteKernel, detailed_balance_check
+from varorder.kernels import ENTRY_TOL, FiniteKernel, detailed_balance_check, metropolis
+from varorder.special_cases import gmtm_exact_kernel
+from varorder.variance import _doeblin_coefficient, _fundamental_solve
 import oracles
 
 
@@ -272,6 +274,64 @@ def test_stationary_distribution_rejects_reducible():
     K = FiniteKernel(np.eye(3))
     with pytest.raises(ReducibleKernelError):
         stationary_distribution(K)
+
+
+def lu_stationary(K):
+    """The LU route's law: pi (I - K + 1 u^T) = u^T for uniform u, normalised."""
+    u = np.full(K.size, 1.0 / K.size)
+    pi, _ = _fundamental_solve(K.matrix, u, u, transposed=True)
+    pi = np.maximum(pi, 0.0)
+    return pi / pi.sum()
+
+
+def reversible_kernels():
+    m, rng = toys.registry_toy(), np.random.default_rng(7)
+    w = rng.uniform(0.2, 1.0, 7)
+    proposal = rng.uniform(0.05, 1.0, (7, 7))
+    randoms = [pytest.param(oracles.random_reversible_kernel(np.random.default_rng(n), n)[0],
+                            id=f"random_{n}") for n in (2, 3, 16, 256, 1024)]
+    return randoms + [
+        pytest.param(accept_kernel(m), id="accept_kernel"),
+        pytest.param(exactify.marginal_mh_exact_kernel(m), id="marginal_mh"),
+        pytest.param(gmtm_exact_kernel(toys.gmtm_toy(2)), id="gmtm"),
+        pytest.param(FiniteKernel(metropolis(proposal / proposal.sum(axis=1, keepdims=True),
+                                             w / w.sum())), id="metropolis")]
+
+
+@pytest.mark.parametrize("K", reversible_kernels())
+def test_reversible_stationary_law_matches_the_lu_route(K, solves):
+    """Certified reversible kernels take the ratio route (no solve) and land
+    within ENTRY_TOL of the LU route's law."""
+    assert solves(lambda: stationary_distribution(K)) == 0
+    pi = stationary_distribution(K).weights
+    assert np.sum(np.abs(pi - lu_stationary(K))) <= ENTRY_TOL
+
+
+def test_broken_detailed_balance_takes_the_lu_route(solves):
+    """One off-diagonal pair off by 1e-9 is enough to fail the certificate."""
+    P, _ = oracles.random_reversible_kernel(np.random.default_rng(5), 16)
+    M = P.matrix.copy()
+    M[2, 5] += 1e-9
+    K = FiniteKernel(M / M.sum(axis=1, keepdims=True))
+    assert solves(lambda: stationary_distribution(K)) == 1
+    assert np.array_equal(stationary_distribution(K).weights, lu_stationary(K))
+
+
+def test_ratio_certificate_bounds_the_error():
+    """||x K - x||_1 (2 - eps) / eps >= ||x - pi||_1 for laws x near pi of
+    random reversible kernels, eps their Doeblin coefficient."""
+    rng = np.random.default_rng(11)
+    slack = []
+    for trial in range(120):
+        n = int(rng.integers(2, 48))
+        P, pi = oracles.random_reversible_kernel(rng, n)
+        eps = float(_doeblin_coefficient(P.matrix, pi.weights))
+        assert eps > 0.0
+        delta = rng.normal(size=n) * 10.0 ** rng.uniform(-8, -3)
+        x = pi.weights + delta - delta.mean()
+        bound = np.sum(np.abs(x @ P.matrix - x)) * (2.0 - eps) / eps
+        slack.append(bound / np.sum(np.abs(x - pi.weights)))
+    assert len(slack) == 120 and min(slack) >= 1.0, min(slack)
 
 
 def test_marginal_kernel_of_systematic_is_pi_star_reversible(model):

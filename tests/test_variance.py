@@ -13,7 +13,8 @@ import pytest
 from varorder.ergodicity import fit_certificate
 from varorder.kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel,
                               FunctionVector, ProbVector, StateSpace,
-                              constant_kernel, identity_kernel, metropolis)
+                              constant_kernel, detailed_balance_check,
+                              identity_kernel, metropolis)
 from varorder.variance import (EIGENVALUE_ONE_TOL, SPECTRAL_MARGIN,
                                AlternatingModel, ReducibleChainError,
                                SummabilityError, VarianceReport,
@@ -141,31 +142,28 @@ def test_doeblin_certificate_bounds_the_inverse_and_keeps_the_gate(kind, station
         assert {(True, True), (False, True), (False, False)} <= set(paths)
 
 
-def test_certified_gate_factorises_once(monkeypatch):
+def test_certified_gate_factorises_once(solves):
     """A kernel with a Doeblin minorisation costs one np.linalg.solve per gated
     call: a dense 64-state kernel, and the two-state gate-boundary kernel at
-    eps = 2e-8 (B ~ 6 / eps = 3e8 <= 5e8).  At eps = 1e-8 (B ~ 6e8) and on a
-    lazy cyclic walk (zero column minima) the estimator still runs; the walk
-    matches an inverse-based reference."""
-    solve, calls = np.linalg.solve, []
-
-    def counting_solve(*args):
-        calls.append(1)
-        return solve(*args)
-
-    def solves(call):
-        calls.clear()
-        call()
-        return len(calls)
-
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    eps = 2e-8 (B ~ 6 / eps = 3e8 <= 5e8).  stationary_distribution of such a
+    kernel makes none when it is reversible (the certified detailed-balance
+    ratios) and one when it is not (the product of two pi-reversible kernels).
+    At eps = 1e-8 (B ~ 6e8) and on a lazy cyclic walk (zero column minima) the
+    estimator still runs; the walk matches an inverse-based reference."""
     P, pi = random_reversible_kernel(np.random.default_rng(64), 64)
     f = FunctionVector(np.random.default_rng(1).normal(size=64), P.space)
-    assert solves(lambda: stationary_distribution(P)) == 1
+    assert solves(lambda: stationary_distribution(P)) == 0
     assert solves(lambda: asvar_homogeneous(P, pi, f)) == 1
-    for eps, certified in ((2e-8, True), (1e-8, False)):
-        K = FiniteKernel([[1.0 - eps, eps], [eps, 1.0 - eps]])
-        assert (solves(lambda: stationary_distribution(K)) == 1) == certified, eps
+    Q, _ = random_reversible_kernel(np.random.default_rng(65), 64, pi)
+    PQ = FiniteKernel(P.matrix @ Q.matrix)
+    assert not detailed_balance_check(PQ, pi).holds
+    assert _doeblin_bound(PQ.matrix, np.full(64, 1.0 / 64)) <= 0.5 / EIGENVALUE_ONE_TOL
+    assert solves(lambda: stationary_distribution(PQ)) == 1
+    assert np.max(np.abs(stationary_distribution(PQ).weights - pi.weights)) <= 1e-12
+    K = FiniteKernel([[1.0 - 2e-8, 2e-8], [2e-8, 1.0 - 2e-8]])
+    assert solves(lambda: stationary_distribution(K)) == 0
+    K = FiniteKernel([[1.0 - 1e-8, 1e-8], [1e-8, 1.0 - 1e-8]])
+    assert solves(lambda: stationary_distribution(K)) >= 3
 
     n = 16
     i = np.arange(n)
