@@ -113,9 +113,10 @@ def accept_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
     return FiniteKernel(K, m.joint_space)
 
 
-def _refresh_kernel(m: FiniteAugmentedModel, probs: Optional[np.ndarray],
-                    w: Optional[np.ndarray] = None) -> FiniteKernel:
-    """Block-diagonal refresh (y, u) -> (y, u') with u' ~ probs[y, .].
+def _refresh_blocks(m: FiniteAugmentedModel, probs: Optional[np.ndarray],
+                    w: Optional[np.ndarray] = None) -> np.ndarray:
+    """Diagonal blocks B[y, u, u'] of the block-diagonal refresh
+    (y, u) -> (y, u') with u' ~ probs[y, .].
 
     With weights w the proposal is accepted with 1 ^ w[y,u']/w[y,u] and the
     rejected mass stays on (y, u).
@@ -127,19 +128,21 @@ def _refresh_kernel(m: FiniteAugmentedModel, probs: Optional[np.ndarray],
     if w is not None:
         blocks = blocks * np.minimum(1.0, w[:, None, :] / w[:, :, None])
         blocks[:, np.arange(nu), np.arange(nu)] += 1.0 - blocks.sum(axis=2)
+    return blocks
+
+
+def _refresh_kernel(m: FiniteAugmentedModel, probs: Optional[np.ndarray],
+                    w: Optional[np.ndarray] = None) -> FiniteKernel:
+    """The dense block-diagonal refresh kernel of _refresh_blocks."""
+    ny, nu = m.Y.size, m.U.size
     K = np.zeros((ny, nu, ny, nu))
-    K[np.arange(ny), :, np.arange(ny), :] = blocks
+    K[np.arange(ny), :, np.arange(ny), :] = _refresh_blocks(m, probs, w)
     return FiniteKernel(K.reshape(ny * nu, ny * nu), m.joint_space)
 
 
 def systematic_refresh_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
     """P2: (y, u) -> (y, u') with u' ~ R(y, .); first coordinate held fixed."""
     return _refresh_kernel(m, m.r)
-
-
-def check_refresh_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
-    """Unconditional refresh through rcheck (the noisy algorithm's step (i))."""
-    return _refresh_kernel(m, m.rcheck)
 
 
 def random_refresh_kernel(m: FiniteAugmentedModel) -> FiniteKernel:
@@ -164,14 +167,19 @@ def extract_kernel(algorithm: str, m: FiniteAugmentedModel) -> ExtractedKernel:
     """Exact transition matrix of the named sampler on the finite model.
 
     freeze / systematic / random_refresh / noisy are returned on the joint
-    space (the product-kernel embeddings P_i Q); marginal_mh lives on Y.
+    space (the product-kernel embeddings P_i Q); marginal_mh lives on Y.  A
+    refresh R is block-diagonal, so R Q is one (ny, nu, nu) @ (ny, nu, n)
+    product per y: ny nu^2 n multiply-adds instead of n^3.
     """
-    refresh = {"systematic": systematic_refresh_kernel, "noisy": check_refresh_kernel,
-               "random_refresh": random_refresh_kernel}
+    # noisy refreshes unconditionally through rcheck (its step (i))
+    refresh = {"systematic": (m.r,), "noisy": (m.rcheck,),
+               "random_refresh": (m.rcheck, m.w)}
     if algorithm == "freeze":
         K = accept_kernel(m)
     elif algorithm in refresh:
-        K = FiniteKernel(refresh[algorithm](m).matrix @ accept_kernel(m).matrix, m.joint_space)
+        blocks, n = _refresh_blocks(m, *refresh[algorithm]), m.Y.size * m.U.size
+        Q = accept_kernel(m).matrix.reshape(m.Y.size, m.U.size, n)
+        K = FiniteKernel((blocks @ Q).reshape(n, n), m.joint_space)
     elif algorithm == "marginal_mh":
         K = marginal_mh_exact_kernel(m)
     else:

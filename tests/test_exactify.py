@@ -8,7 +8,7 @@ import pytest
 
 from varorder import exactify, toys
 from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
-                               accept_kernel, check_refresh_kernel,
+                               accept_kernel,
                                extract_kernel, marginal_kernel,
                                marginal_mh_proposal, random_refresh_kernel,
                                stationary_distribution, systematic_refresh_kernel,
@@ -155,10 +155,24 @@ def test_vectorized_kernels_match_element_loops(m):
         assert np.array_equal(exactify.marginal_mh_exact_kernel(m).matrix, K_mh)
     assert np.array_equal(systematic_refresh_kernel(m).matrix,
                           loop_refresh_kernel(m, m.r))
-    assert np.array_equal(check_refresh_kernel(m).matrix,
+    assert np.array_equal(exactify._refresh_kernel(m, m.rcheck).matrix,
                           loop_refresh_kernel(m, m.rcheck))
     assert np.array_equal(random_refresh_kernel(m).matrix,
                           loop_refresh_kernel(m, m.rcheck, m.w))
+
+
+@pytest.mark.parametrize("m", [toys.registry_toy(), toys.finite_gimh_toy()[0],
+                               random_model(np.random.default_rng(16), 16, 16),
+                               random_model(np.random.default_rng(32), 32, 8)])
+def test_refresh_products_by_block_equal_the_dense_products(m):
+    """extract_kernel forms R Q one y-block at a time; the result has the
+    bits of the dense product of the refresh kernel and the accept kernel."""
+    Q = accept_kernel(m).matrix
+    for algorithm, refresh in (("systematic", systematic_refresh_kernel),
+                               ("noisy", lambda mm: exactify._refresh_kernel(mm, mm.rcheck)),
+                               ("random_refresh", random_refresh_kernel)):
+        assert np.array_equal(extract_kernel(algorithm, m).kernel.matrix,
+                              refresh(m).matrix @ Q), algorithm
 
 
 def test_accept_kernel_is_pi_reversible(model):
@@ -167,7 +181,7 @@ def test_accept_kernel_is_pi_reversible(model):
 
 def test_refresh_kernels_hold_y_fixed(model):
     ny, nu = model.Y.size, model.U.size
-    for K in (systematic_refresh_kernel(model), check_refresh_kernel(model),
+    for K in (systematic_refresh_kernel(model), exactify._refresh_kernel(model, model.rcheck),
               random_refresh_kernel(model)):
         M = K.matrix.reshape(ny, nu, ny, nu)
         off = M.sum(axis=3) - np.eye(ny)[:, None, :] * M.sum(axis=3)
@@ -193,7 +207,7 @@ def test_random_refresh_reduces_to_systematic_when_weights_constant():
                                 rcheck=m.rcheck,
                                 w=np.ones_like(m.rcheck))
     assert np.allclose(random_refresh_kernel(flat).matrix,
-                       check_refresh_kernel(flat).matrix, atol=1e-14)
+                       exactify._refresh_kernel(flat, flat.rcheck).matrix, atol=1e-14)
 
 
 # ---- full algorithm kernels ----

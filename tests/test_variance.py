@@ -15,11 +15,13 @@ from varorder.kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel,
                               FunctionVector, ProbVector, StateSpace,
                               constant_kernel, detailed_balance_check,
                               identity_kernel, metropolis)
-from varorder.variance import (EIGENVALUE_ONE_TOL, SPECTRAL_MARGIN,
+from varorder.variance import (CG_MAX_ITERATIONS, CG_MIN_STATES, CG_TARGET,
+                               EIGENVALUE_ONE_TOL, SPECTRAL_MARGIN,
                                AlternatingModel, ReducibleChainError,
                                SummabilityError, VarianceReport,
                                _doeblin_bound, _doeblin_coefficient,
-                               _fundamental_solve, _solve_with_norm_estimate,
+                               _fundamental_solve, _self_adjoint_probe,
+                               _solve_with_norm_estimate,
                                alternating_partial_sum_variance,
                                asvar_alternating, asvar_alternating_stack,
                                asvar_homogeneous, asvar_homogeneous_stack,
@@ -508,6 +510,101 @@ def test_homogeneous_report_names_its_gate():
             assert figure <= norm * (1 + 1e-12) and figure <= 1.0 / EIGENVALUE_ONE_TOL
 
 
+def lu_values(P, pi, F):
+    """asvar_homogeneous_stack's values by its LU route: one gated solve."""
+    fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
+    g, _ = _fundamental_solve(P, pi, P @ fbar.T)
+    w = pi * fbar
+    return np.maximum(np.sum(w * fbar, axis=-1) + 2.0 * np.sum(w * g.T, axis=-1), 0.0)
+
+
+def test_homogeneous_report_names_its_solver():
+    """Below CG_MIN_STATES the report names the LU solve; a certified
+    reversible kernel at CG_MIN_STATES names CG, its iterations and its
+    certified error bound."""
+    for n, solver in ((64, "lu"), (CG_MIN_STATES, "cg")):
+        P, pi = random_reversible_kernel(np.random.default_rng(n), n)
+        report = asvar_homogeneous(P, pi, FunctionVector(np.cos(np.arange(n)), P.space))
+        d = report.diagnostics
+        assert d["gate"] == "doeblin" and d["solver"] == solver
+        if solver == "cg":
+            assert 0 < d["iterations"] <= CG_MAX_ITERATIONS
+            assert 0.0 < d["error_bound"] <= CG_TARGET
+        else:
+            assert "iterations" not in d and "error_bound" not in d
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conjugate_gradient_route_matches_lu(solves, n, k):
+    """A certified reversible kernel at n >= CG_MIN_STATES takes CG with no
+    np.linalg.solve; its values lie within the reported bound and within
+    1e-12 of the LU route's, and the gate record is the LU route's."""
+    P, pi = random_reversible_kernel(np.random.default_rng(10 * n + k), n)
+    F = np.random.default_rng(k).normal(size=(k, n))
+    out = {}
+    assert solves(lambda: out.update(r=asvar_homogeneous_stack(P.matrix, pi.weights, F))) == 0
+    values, _, gate = out["r"]
+    reference = lu_values(P.matrix, pi.weights, F)
+    assert gate["solver"] == "cg" and gate["error_bound"] <= CG_TARGET
+    assert gate["gate"] == "doeblin"
+    assert gate["inverse_norm"] == _doeblin_bound(P.matrix, pi.weights)
+    assert np.all(np.abs(values - reference) <= gate["error_bound"])
+    assert np.all(np.abs(values - reference) <= 1e-12)
+
+
+def test_conjugate_gradient_route_on_constant_functions():
+    """Constant rows, alone or stacked with a non-constant one, get v = 0 (to
+    the rounding of their centring) on the CG route without a RuntimeWarning
+    (warnings fail the suite)."""
+    n = CG_MIN_STATES
+    P, pi = random_reversible_kernel(np.random.default_rng(5), n)
+    for F in (np.ones((1, n)), np.zeros((1, n)),
+              np.vstack([np.full(n, 2.5), np.sin(np.arange(n)), np.zeros(n)])):
+        values, _, gate = asvar_homogeneous_stack(P.matrix, pi.weights, F)
+        assert gate["solver"] == "cg"
+        constant = np.ptp(F, axis=1) == 0.0
+        assert np.all(values[constant] <= 1e-30) and np.all(values[~constant] > 0.1)
+        assert np.all(np.abs(values - lu_values(P.matrix, pi.weights, F)) <= 1e-12)
+
+
+def ring_with_teleport(n):
+    """pi-uniform and reversible with eps = 0.1, but CG needs about 75
+    iterations: a ring walk mixed with a 0.1 jump to a uniform state."""
+    i = np.arange(n)
+    return 0.1 / n + 0.45 * np.isin((i[:, None] - i[None, :]) % n, (1, n - 1))
+
+
+@pytest.mark.parametrize("case", ["product", "lazy", "slow", "many_functions"])
+def test_conjugate_gradient_falls_back_to_lu_bits(monkeypatch, case):
+    """Certified kernels at n >= CG_MIN_STATES that CG does not serve return
+    the LU route's bits: a non-reversible product P Q (the probe rejects it);
+    the lazy 0.99 I + 0.01 P (eps ~ 6e-4: the target is below a few ulps);
+    a teleporting ring that needs more than CG_MAX_ITERATIONS; and more
+    functions than n / CG_STATES_PER_FUNCTION."""
+    n = 1024 if case in ("product", "lazy") else CG_MIN_STATES
+    P, law = random_reversible_kernel(np.random.default_rng(71), n)
+    pi, k = law.weights, 20 if case == "many_functions" else 1
+    if case == "product":
+        Q, _ = random_reversible_kernel(np.random.default_rng(72), n, law)
+        M = P.matrix @ Q.matrix
+    elif case == "lazy":
+        M = 0.99 * np.eye(n) + 0.01 * P.matrix
+        assert 5e-4 < _doeblin_coefficient(M, pi) < 1e-3
+    elif case == "slow":
+        M, pi = ring_with_teleport(n), np.full(n, 1.0 / n)
+    else:
+        M = P.matrix
+    assert _self_adjoint_probe(M, pi) == (case != "product")
+    F = np.random.default_rng(73).normal(size=(k, n))
+    values, _, gate = asvar_homogeneous_stack(M, pi, F)
+    assert gate == {"gate": "doeblin", "inverse_norm": _doeblin_bound(M, pi), "solver": "lu"}
+    assert np.array_equal(values, lu_values(M, pi, F))
+    if case == "slow":  # the cap, not the target, sent it to LU
+        monkeypatch.setattr("varorder.variance.CG_MAX_ITERATIONS", 200)
+        assert asvar_homogeneous_stack(M, pi, F)[2]["solver"] == "cg"
+
+
 def test_stack_member_without_invariant_pi_raises_value_error():
     rng = np.random.default_rng(53)
     members = [random_pair_arrays(rng, 4) for _ in range(3)]
@@ -596,6 +693,14 @@ def test_batch_means_on_iid_noise():
 def test_batch_means_requires_enough_data():
     with pytest.raises(ValueError):
         batch_means_variance(np.zeros(50), batch_count=100)
+
+
+@pytest.mark.parametrize("batch_count", [1, 0, -3])
+def test_batch_means_requires_two_batches(batch_count):
+    """One batch leaves no spread to estimate: a ValueError, not a
+    ZeroDivisionError from the batch_count - 1 denominator."""
+    with pytest.raises(ValueError, match="at least 2"):
+        batch_means_variance(np.arange(1000.0), batch_count=batch_count)
 
 
 def test_variance_report_validates():
