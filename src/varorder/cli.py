@@ -135,8 +135,9 @@ def _tries(name: str, value) -> int:
 
 
 def _epsilons(name: str, value) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    """A list of numbers in (0, 1); an empty one would check nothing."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a list of numbers, not empty, got {value!r}")
     return [_number("epsilon", e, high=1.0) for e in value]
 
 
@@ -495,10 +496,6 @@ _REGISTRY = {spec.name: spec for spec in (
         "registry toy's refreshment chains.",
         _run_ergodicity, {"horizon": 50}),
 )}
-
-
-def registry() -> dict:
-    return dict(_REGISTRY)
 
 
 def load_config(path: str, seed_override=None) -> ScenarioConfig:

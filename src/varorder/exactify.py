@@ -219,13 +219,10 @@ def stationary_distribution(K: FiniteKernel) -> ProbVector:
 
     LU route, for every other kernel (not reversible, or not certified):
     pi (I - K + 1 u^T) = u^T for uniform u through variance._fundamental_solve,
-    whose gate makes one factorisation when K's Doeblin coefficient eps (the
-    sum of its column minima) gives B = 3 n (2 - eps) / eps
-    <= 1 / (2 EIGENVALUE_ONE_TOL), else runs Hager's estimator at 3-5 (a zero
-    column minimum, a near-reducible K).  Raises ReducibleKernelError when
-    that gate finds ||(I - K + 1 u^T)^-1||_1 above 1 / EIGENVALUE_ONE_TOL (the
-    eigenvalue 1 of K is not simple), or when the clipped, renormalized pi
-    fails variance.check_invariant.  The ratio route is taken only where the
+    one factorisation.  Raises ReducibleKernelError when its gate finds
+    ||(I - K + 1 u^T)^-1||_1 above 1 / EIGENVALUE_ONE_TOL (the eigenvalue 1
+    of K is not simple), or when the clipped, renormalized pi fails
+    variance.check_invariant.  The ratio route is taken only where the
     LU route's gate passes, so both routes accept and reject the same kernels.
     """
     M, n = K.matrix, K.size
@@ -238,8 +235,8 @@ def stationary_distribution(K: FiniteKernel) -> ProbVector:
         if np.sum(np.abs(x @ M - x)) * (2.0 - eps) / eps <= ENTRY_TOL:
             return ProbVector(x, K.space)
     try:
-        pi, _ = _fundamental_solve(M, u, u, transposed=True, eps=eps)
-        pi = np.maximum(pi, 0.0)
+        pi, _ = _fundamental_solve(M, u, u[:, None], transposed=True, eps=eps)
+        pi = np.maximum(pi[:, 0], 0.0)
         pi = pi / pi.sum()
         check_invariant(pi, M, "K")
     except ValueError as exc:  # ReducibleChainError or check_invariant's

@@ -90,32 +90,6 @@ def _centered(f: FunctionVector, pi: ProbVector) -> np.ndarray:
     return f.values - float(np.sum(pi.weights * f.values))
 
 
-def _solve_with_norm_estimate(Z: np.ndarray, b: np.ndarray,
-                              transposed: bool) -> tuple[np.ndarray, float]:
-    """Solve Z x = b (Z^T x = b if transposed); estimate ||Z^{-1}||_1.
-
-    Hager's estimator with LAPACK dlacn2's alternating-sign probe (the pair
-    behind gecon).  Its start 1/n is a fixed point, Z 1 = 1, so the first step
-    needs only a Z^T solve; b rides along with the first solve on its side.
-    """
-    n = Z.shape[0]
-    zb = np.linalg.solve(Z.T, np.column_stack([np.ones(n)] + ([b] if transposed else [])))
-    j = int(np.argmax(np.abs(zb[:, 0])))
-    ramp = 1.0 + np.arange(n) / max(n - 1, 1)
-    probes = [np.eye(1, n, j)[0], np.where(np.arange(n) % 2 == 0, ramp, -ramp)]
-    yb = np.linalg.solve(Z, np.column_stack(probes + ([] if transposed else [b])))
-    y, est = yb[:, 0], max(1.0, 2.0 * float(np.sum(np.abs(yb[:, 1]))) / (3.0 * n))
-    for _ in range(4):  # dlacn2's cap of five steps
-        est = max(est, float(np.sum(np.abs(y))))
-        z = np.linalg.solve(Z.T, np.where(y >= 0.0, 1.0, -1.0))
-        if np.max(np.abs(z)) <= z[j]:  # optimality test at x = e_j
-            break
-        j = int(np.argmax(np.abs(z)))
-        y = np.linalg.solve(Z, np.eye(1, n, j)[0])
-    x = zb[:, 1:] if transposed else yb[:, 2:]
-    return x, max(est, float(np.sum(np.abs(y))))
-
-
 def _doeblin_coefficient(M: np.ndarray, u: np.ndarray) -> np.ndarray:
     """eps = sum_y min_x M(x, y), the Doeblin coefficient of kernels M
     (..., n, n), for laws u (..., n) with broadcastable stacks; 0 where eps < 0,
@@ -144,49 +118,41 @@ def _doeblin_bound(M: np.ndarray, u: np.ndarray, eps: float | None = None) -> fl
 
 def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
                        transposed: bool = False,
-                       check_condition: bool = True,
                        eps: float | None = None) -> tuple[np.ndarray, dict]:
-    """Solve Z x = rhs (Z^T x = rhs if transposed) for Z = I - M + 1 u^T;
-    returns x and the gate's record: {"gate": "doeblin", "inverse_norm": B}
-    or {"gate": "hager", "inverse_norm": Hager's estimate}, {} without
-    check_condition.
+    """Solve Z x = rhs (Z^T x = rhs if transposed), rhs (n, k), for
+    Z = I - M + 1 u^T; returns x and the gate's record {"gate": "doeblin",
+    "inverse_norm": B}, B an upper bound on ||Z^{-1}||_1, or {"gate": "exact",
+    "inverse_norm": ||Z^{-1}||_1}.
 
     For u summing to 1, Z is singular exactly when the eigenvalue 1 of the
     stochastic M is not simple.  ReducibleChainError when LAPACK finds Z
-    singular, x is not finite, or (check_condition, for callers that have not
-    bounded the spectrum of M away from 1) ||Z^{-1}||_1 is estimated above
-    1 / EIGENVALUE_ONE_TOL.  The gate first tries the Doeblin bound
-    B = 3 n (2 - eps) / eps of _doeblin_bound: B <= 1 / (2 EIGENVALUE_ONE_TOL)
-    proves the norm, and with it Hager's estimate (a lower bound on it), below
-    the limit, so one factorisation suffices; the factor 1/2 is slack for rows
-    summing to 1 only within ENTRY_TOL.  Otherwise (a zero column minimum, a
-    near-reducible M) _solve_with_norm_estimate runs, at 3-5 factorisations.
-    The certified solve carries a column of ones before rhs: LAPACK rounds a
-    lone right-hand side differently, while with two or more each column's
-    result does not depend on the others, so both paths give the same bits.
-    Without check_condition, M (..., n, n), u (..., n) and rhs (..., n, k)
-    may carry leading stack axes.  eps, when given, is M's
+    singular, x is not finite, or ||Z^{-1}||_1 exceeds 1 / EIGENVALUE_ONE_TOL.
+    The Doeblin bound B = 3 n (2 - eps) / eps of _doeblin_bound decides when
+    B <= 1 / (2 EIGENVALUE_ONE_TOL) (the factor 1/2 is slack for rows summing
+    to 1 only within ENTRY_TOL).  Otherwise (a zero column minimum, a
+    near-reducible M) the identity rides along with rhs and the norm is read
+    off the inverse: its largest column sum, or row sum when transposed.
+    One factorisation on either path; the n extra columns cost about 3-4 LUs
+    (a sparse ring at 256-2048 states).  eps, when given, is M's
     _doeblin_coefficient for this u, already computed by the caller.
     """
     n = M.shape[-1]
-    Z = u[..., None, :] - M
-    Z[..., np.arange(n), np.arange(n)] += 1.0
-    A, gate = (np.swapaxes(Z, -1, -2) if transposed else Z), {}
+    Z = u - M
+    Z[np.arange(n), np.arange(n)] += 1.0
+    bound = _doeblin_bound(M, u, eps)
+    certified = bound <= 0.5 / EIGENVALUE_ONE_TOL
     try:
-        if not check_condition:
-            x = np.linalg.solve(A, rhs)
-        elif (bound := _doeblin_bound(M, u, eps)) <= 0.5 / EIGENVALUE_ONE_TOL:
-            x = np.linalg.solve(A, np.column_stack([np.ones(n), np.reshape(rhs, (n, -1))]))[:, 1:]
-            gate = {"gate": "doeblin", "inverse_norm": bound}
-        else:
-            x, est = _solve_with_norm_estimate(Z, np.reshape(rhs, (n, -1)), transposed)
-            gate = {"gate": "hager", "inverse_norm": est}
+        x = np.linalg.solve(Z.T if transposed else Z,
+                            rhs if certified else np.column_stack([rhs, np.eye(n)]))
     except np.linalg.LinAlgError as exc:
         raise ReducibleChainError(f"I - M + 1u^T is singular ({exc})") from exc
-    est = gate.get("inverse_norm", 0.0)
-    if not (est <= 1.0 / EIGENVALUE_ONE_TOL and np.all(np.isfinite(x))):
-        raise ReducibleChainError(f"eigenvalue 1 is not simple: ||Z^-1||_1 ~ {est:.3e}")
-    return x.reshape(np.shape(rhs)), gate
+    norm = bound
+    if not certified:
+        x, inverse = x[:, :-n], x[:, -n:]
+        norm = float(np.max(np.abs(inverse).sum(axis=1 if transposed else 0)))
+    if not (norm <= 1.0 / EIGENVALUE_ONE_TOL and np.all(np.isfinite(x))):
+        raise ReducibleChainError(f"eigenvalue 1 is not simple: ||Z^-1||_1 ~ {norm:.3e}")
+    return x, {"gate": "doeblin" if certified else "exact", "inverse_norm": norm}
 
 
 def _inner(pi: ProbVector, a: np.ndarray, b: np.ndarray) -> float:
@@ -264,12 +230,10 @@ def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
     "error_bound", the largest certified |v - v_exact| over the functions).
 
     v = pi fbar^2 + 2 <fbar, g> with (I - P + 1 pi^T) g = P fbar, a column
-    per function.  The gate decides first: ReducibleChainError when
-    ||(I - P + 1 pi^T)^-1||_1 (certified or estimated) exceeds
-    1 / EIGENVALUE_ONE_TOL (eigenvalue 1 of P not simple).  It is certified
-    when P's Doeblin coefficient eps gives B = 3 n (2 - eps) / eps
-    <= 1 / (2 EIGENVALUE_ONE_TOL); otherwise (a zero column minimum, a
-    near-reducible P) Hager's estimator runs, at 3-5 factorisations.
+    per function.  The gate of _fundamental_solve decides first:
+    ReducibleChainError when ||(I - P + 1 pi^T)^-1||_1 exceeds
+    1 / EIGENVALUE_ONE_TOL (eigenvalue 1 of P not simple), proven below it by
+    P's Doeblin bound or else computed exactly.
 
     CG route, with no factorisation: when the gate certifies P,
     n >= CG_MIN_STATES, k <= n / CG_STATES_PER_FUNCTION, pi > 0 and
@@ -290,9 +254,7 @@ def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
     costs at most about one LU.
 
     LU route, for every other input and whenever the certificate is out of
-    reach: one factorisation when certified, the column of ones kept beside
-    the k functions so a single f rounds as it does in the estimator's solve
-    (see _fundamental_solve).
+    reach: the one factorisation of _fundamental_solve.
     """
     check_invariant(pi, P, "P")
     fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
@@ -370,10 +332,11 @@ def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray, np.nda
     fbar = f - np.sum(pi * f, axis=-1, keepdims=True)
     # X_0 series: lags 2n -> <fbar, A^n fbar> (n>=1), 2n+1 -> <fbar, A^n P fbar> (n>=0)
     # for A = PQ; X_1 series likewise with B = QP and Q.  Each geometric tail is one
-    # column of one stacked solve; rho < 1 keeps Z away from singular: no estimate.
+    # column of one stacked solve by Z = I - M + 1 pi^T; rho < 1 keeps Z nonsingular.
     fcol = fbar[..., None, :, None]
-    rhs = np.concatenate([(M - pi_rows) @ fcol, (D - pi_rows) @ fcol], axis=-1)
-    tails, _ = _fundamental_solve(M, pi[..., None, :], rhs, check_condition=False)
+    centred = M - pi_rows
+    rhs = np.concatenate([centred @ fcol, (D - pi_rows) @ fcol], axis=-1)
+    tails = np.linalg.solve(np.eye(PQ.shape[-1]) - centred, rhs)
     w = pi * fbar
     values = np.sum(w * fbar, axis=-1) + np.einsum("...i,...aib->...", w, tails)
     return np.maximum(values, 0.0), bound, certified

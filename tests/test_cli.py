@@ -29,7 +29,7 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 def test_registry_is_complete():
-    assert EXPECTED_SCENARIOS <= set(cli.registry())
+    assert EXPECTED_SCENARIOS <= set(cli._REGISTRY)
 
 
 def test_list_and_describe(capsys):
@@ -325,7 +325,7 @@ def test_remark14_report_names_the_function_it_called(tmp_path, monkeypatch):
     report = json.loads(Path(os.path.join(out, "report.json")).read_text())
     named = [a["detail"].split("(")[0] for a in report["assertions"]
              if a["detail"].startswith("variance.")]
-    assert len(named) == 2 * len(cli.registry()["remark14"].defaults["epsilons"])
+    assert len(named) == 2 * len(cli._REGISTRY["remark14"].defaults["epsilons"])
     assert set(named) == {"variance.asvar_homogeneous"}
 
 
@@ -380,6 +380,7 @@ def test_out_of_range_scenario_params_are_config_errors(tmp_path, capsys, scenar
 
 @pytest.mark.parametrize("scenario, params, message", [
     ("remark14", {"epsilons": 5}, "epsilons must be a list of numbers"),
+    ("remark14", {"epsilons": []}, "epsilons must be a list of numbers, not empty"),
     ("remark14", {"epsilons": ["a"]}, "epsilon must be a number in (0.0, 1.0)"),
     ("remark14", {"epsilons": [1.5]}, "epsilon must be a number in (0.0, 1.0)"),
     ("remark14", {"epsilons": [0.5, True]}, "epsilon must be a number in (0.0, 1.0)"),
@@ -402,10 +403,12 @@ def test_out_of_range_scenario_params_are_named_in_the_config_error(tmp_path, ca
     assert not os.path.exists(out)
 
 
-def test_run_that_checks_no_assertion_fails(tmp_path):
-    doc = {"scenario": "remark14", "params": {"epsilons": []}}
+def test_run_that_checks_no_assertion_fails(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._REGISTRY, "remark14",
+                        cli.ScenarioSpec("remark14", "stub", lambda cfg: cli.ScenarioResult(), {}))
     out = str(tmp_path / "o")
-    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 3
+    assert cli.main(["run", write_config(tmp_path, {"scenario": "remark14"}),
+                     "--out-dir", out]) == 3
     report = json.loads(Path(os.path.join(out, "report.json")).read_text())
     assert report["assertions"] == [] and report["all_hold"] is False
 

@@ -1,13 +1,15 @@
-"""Property tests over random strictly positive finite augmented models."""
+"""Property tests over random finite models and kernels."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from varorder.ergodicity import fit_certificate
 from varorder.exactify import (ALGORITHMS, FiniteAugmentedModel, extract_kernel,
                                stationary_distribution)
 from varorder.kernels import ENTRY_TOL, FiniteKernel, FunctionVector, StateSpace
+from varorder.variance import EIGENVALUE_ONE_TOL, ReducibleChainError, _fundamental_solve
 from oracles import random_reversible_kernel
 from test_ergodicity import assert_bound_dominates
 
@@ -55,3 +57,50 @@ def test_certificate_of_a_reversible_product_dominates_its_v_distance(n, seed):
     cert = fit_certificate(PQ, pi, V)
     assert cert.rho <= 1.0
     assert_bound_dominates(cert, PQ, pi, V, 50)
+
+
+@st.composite
+def gate_inputs(draw):
+    """A stochastic M on n = 2-8 states with a random zero pattern, whose two
+    diagonal blocks are coupled by weight delta, 0 (reducible) or 10^e for e
+    in [-13, -2], a law u (uniform or random), a right-hand side and an
+    orientation."""
+    n = draw(st.integers(2, 8))
+    weights = draw(hnp.arrays(float, (n, n), elements=st.floats(0.05, 1.0)))
+    weights[weights < draw(st.floats(0.0, 0.7))] = 0.0
+    block = np.arange(n) < draw(st.integers(1, n - 1))
+    delta = draw(st.floats(-14.0, -2.0).map(lambda e: 10.0 ** e if e >= -13.0 else 0.0))
+    weights = np.where(block[:, None] == block[None, :], weights, delta)
+    empty = weights.sum(axis=1) == 0.0
+    weights[empty] = np.eye(n)[empty]
+    M = weights / weights.sum(axis=1, keepdims=True)
+    u = (np.full(n, 1.0 / n) if draw(st.booleans()) else
+         draw(hnp.arrays(float, n, elements=st.floats(0.05, 1.0))))
+    rhs = draw(hnp.arrays(float, (n, 1), elements=st.floats(-1.0, 1.0)))
+    return M, u / u.sum(), rhs, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gate_inputs())
+def test_gate_rejects_exactly_when_the_inverse_norm_is_too_large(inputs):
+    """_fundamental_solve raises ReducibleChainError exactly when
+    ||Z^{-1}||_1 from np.linalg.inv exceeds 1 / EIGENVALUE_ONE_TOL, and
+    otherwise returns x with a relative residual ||A x - rhs||_inf below
+    1e-12 (A = Z, or Z^T when transposed); norms within rounding of the
+    limit are skipped."""
+    M, u, rhs, transposed = inputs
+    n = M.shape[0]
+    Z = np.eye(n) - M + u[None, :]
+    try:
+        norm = np.linalg.norm(np.linalg.inv(Z), 1)
+    except np.linalg.LinAlgError:
+        norm = np.inf
+    assume(not abs(norm * EIGENVALUE_ONE_TOL - 1.0) <= 1e-6)
+    if not norm <= 1.0 / EIGENVALUE_ONE_TOL:
+        with pytest.raises(ReducibleChainError):
+            _fundamental_solve(M, u, rhs, transposed)
+        return
+    x, _ = _fundamental_solve(M, u, rhs, transposed)
+    A = Z.T if transposed else Z
+    scale = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    assert np.max(np.abs(A @ x - rhs)) <= 1e-12 * scale

@@ -19,9 +19,6 @@ ALLOWED_UNUSED = {
     # steppers with no caller yet: the sim-vs-exact and GIMH-sweep items of
     # the ROADMAP run them against the exact layer
     "systematic_refresh_step", "noisy_step", "marginal_mh_step",
-    # cli.registry() is read only by tests; the config-schema item of the
-    # ROADMAP deletes it along with the spec table it copies
-    "registry",
 }
 
 

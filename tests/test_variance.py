@@ -21,7 +21,6 @@ from varorder.variance import (CG_MAX_ITERATIONS, CG_MIN_STATES, CG_TARGET,
                                SummabilityError, VarianceReport,
                                _doeblin_bound, _doeblin_coefficient,
                                _fundamental_solve, _self_adjoint_probe,
-                               _solve_with_norm_estimate,
                                alternating_partial_sum_variance,
                                asvar_alternating, asvar_alternating_stack,
                                asvar_homogeneous, asvar_homogeneous_stack,
@@ -106,13 +105,17 @@ def gate_kernel(kind, n, rng, delta=0.0):
     return metropolis(proposal / proposal.sum(axis=1, keepdims=True), pi), pi
 
 
+@pytest.mark.parametrize("transposed", [False, True])
 @pytest.mark.parametrize("stationary_u", [False, True])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "near_reducible"])
-def test_doeblin_certificate_bounds_the_inverse_and_keeps_the_gate(kind, stationary_u):
+def test_doeblin_certificate_bounds_the_inverse_and_keeps_the_gate(kind, stationary_u,
+                                                                   transposed):
     """Wherever _doeblin_bound certifies Z = I - M + 1 u^T, the exact
-    ||Z^{-1}||_1 is at most B; on every kernel the gate accepts exactly when
-    the Hager estimator alone, run on the same Z, would, and with the same
-    bits."""
+    ||Z^{-1}||_1 is at most B; elsewhere the gate reports that norm.  On every
+    kernel, in both orientations, the gate accepts exactly when the norm is
+    at most 1 / EIGENVALUE_ONE_TOL, and an accepted solution agrees with
+    np.linalg.solve to a relative 1e-12 (the same LU factors; only the
+    triangular solves round differently)."""
     rng = np.random.default_rng(17 + stationary_u)
     paths = []
     for n in (4, 17, 64, 256):
@@ -121,19 +124,25 @@ def test_doeblin_certificate_bounds_the_inverse_and_keeps_the_gate(kind, station
             u = pi if stationary_u else np.full(n, 1.0 / n)
             Z = u[None, :] - M
             Z[np.arange(n), np.arange(n)] += 1.0
+            A = Z.T if transposed else Z
             rhs = rng.normal(size=(n, 1))  # one column, as asvar_homogeneous passes
+            norm = np.linalg.norm(np.linalg.inv(Z), 1)
             bound = _doeblin_bound(M, u)
             certified = bound <= 0.5 / EIGENVALUE_ONE_TOL
             if certified:
-                assert np.linalg.norm(np.linalg.inv(Z), 1) <= bound, (n, delta)
-            x, est = _solve_with_norm_estimate(Z, rhs, False)
-            estimator_accepts = est <= 1.0 / EIGENVALUE_ONE_TOL and np.all(np.isfinite(x))
+                assert norm <= bound, (n, delta)
             try:
-                assert np.array_equal(_fundamental_solve(M, u, rhs)[0], x), (n, delta)
+                x, gate = _fundamental_solve(M, u, rhs, transposed)
                 accepted = True
             except ReducibleChainError:
                 accepted = False
-            assert accepted == estimator_accepts, (n, delta)
+            assert accepted == (norm <= 1.0 / EIGENVALUE_ONE_TOL), (n, delta)
+            if accepted:
+                assert gate["gate"] == ("doeblin" if certified else "exact")
+                if not certified:  # rounding of order cond(Z) <= 1.2e9 ulps
+                    assert gate["inverse_norm"] == pytest.approx(norm, rel=1e-6, abs=0)
+                reference = np.linalg.solve(A, rhs)
+                assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
             paths.append((certified, accepted))
     fired = [c for c, _ in paths]
     if kind == "dense":
@@ -151,7 +160,8 @@ def test_certified_gate_factorises_once(solves):
     kernel makes none when it is reversible (the certified detailed-balance
     ratios) and one when it is not (the product of two pi-reversible kernels).
     At eps = 1e-8 (B ~ 6e8) and on a lazy cyclic walk (zero column minima) the
-    estimator still runs; the walk matches an inverse-based reference."""
+    gate computes the exact norm, still in one solve; the walk matches an
+    inverse-based reference."""
     P, pi = random_reversible_kernel(np.random.default_rng(64), 64)
     f = FunctionVector(np.random.default_rng(1).normal(size=64), P.space)
     assert solves(lambda: stationary_distribution(P)) == 0
@@ -165,16 +175,16 @@ def test_certified_gate_factorises_once(solves):
     K = FiniteKernel([[1.0 - 2e-8, 2e-8], [2e-8, 1.0 - 2e-8]])
     assert solves(lambda: stationary_distribution(K)) == 0
     K = FiniteKernel([[1.0 - 1e-8, 1e-8], [1e-8, 1.0 - 1e-8]])
-    assert solves(lambda: stationary_distribution(K)) >= 3
+    assert solves(lambda: stationary_distribution(K)) == 1
 
     n = 16
     i = np.arange(n)
     lazy = 0.5 * np.eye(n) + 0.25 * np.isin((i[:, None] - i[None, :]) % n, (1, n - 1))
     P, pi = FiniteKernel(lazy), ProbVector(np.full(n, 1.0 / n))
     f = FunctionVector(np.sin(i) + i, P.space)
-    assert solves(lambda: stationary_distribution(P)) >= 3
+    assert solves(lambda: stationary_distribution(P)) == 1
     assert np.max(np.abs(stationary_distribution(P).weights - pi.weights)) <= 1e-12
-    assert solves(lambda: asvar_homogeneous(P, pi, f)) >= 3
+    assert solves(lambda: asvar_homogeneous(P, pi, f)) == 1
     fbar = f.values - f.values.mean()
     g = np.linalg.inv(np.eye(n) - lazy + 1.0 / n) @ lazy @ fbar
     assert asvar_homogeneous(P, pi, f).value == pytest.approx(
@@ -490,14 +500,14 @@ def test_certified_alternating_gate_skips_eigvals(monkeypatch):
 
 def test_homogeneous_report_names_its_gate():
     """asvar_homogeneous reports the ||Z^-1||_1 figure its gate used: the
-    Doeblin cap B (an upper bound) on a dense kernel, Hager's estimate (a
-    lower bound) on a lazy ring with zero column minima."""
+    Doeblin cap B (an upper bound) on a dense kernel, the exact norm on a
+    lazy ring with zero column minima."""
     P, pi = random_reversible_kernel(np.random.default_rng(83), 64)
     f = FunctionVector(np.cos(np.arange(64)), P.space)
     ring = FiniteKernel(lazy_ring(16, 0.5))
     for K, law, g, gate in ((P, pi, f, "doeblin"),
                             (ring, ProbVector(np.full(16, 1.0 / 16)),
-                             FunctionVector(np.sin(np.arange(16)), ring.space), "hager")):
+                             FunctionVector(np.sin(np.arange(16)), ring.space), "exact")):
         report = asvar_homogeneous(K, law, g)
         assert report.diagnostics["gate"] == gate
         n = K.size
@@ -507,7 +517,7 @@ def test_homogeneous_report_names_its_gate():
         if gate == "doeblin":
             assert figure == _doeblin_bound(K.matrix, law.weights) and norm <= figure
         else:
-            assert figure <= norm * (1 + 1e-12) and figure <= 1.0 / EIGENVALUE_ONE_TOL
+            assert figure == pytest.approx(norm, rel=1e-12, abs=0)
 
 
 def lu_values(P, pi, F):
