@@ -399,6 +399,9 @@ def _run_abc_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
         res.add("abc_random_refresh", f"target(y={y})", float(tg), seed=cfg.seed)
     res.add("abc_random_refresh", "empirical_tv_gap", gap,
             method="empirical_frequency", seed=cfg.seed)
+    for kind, (accepted, proposed) in trace.accept_counts.items():
+        res.add("abc_random_refresh", f"accept_rate({kind})", accepted / proposed,
+                method="empirical_frequency", seed=cfg.seed)
     res.check("empirical law matches the exact smoothed posterior",
               gap <= max(tol, 0.02), f"tv gap {gap!r}, Monte Carlo tol {tol!r}")
     return res

@@ -16,8 +16,8 @@ import numpy as np
 
 from .kernels import (ENTRY_TOL, FiniteKernel, ProbVector, StateSpace,
                       _mh_acceptance, check_stochastic)
-from .variance import (EIGENVALUE_ONE_TOL, _doeblin_bound, _doeblin_coefficient,
-                       _fundamental_solve, check_invariant)
+from .variance import (EIGENVALUE_ONE_TOL, _doeblin_bound, _fundamental_solve,
+                       check_invariant)
 
 MAX_JOINT_STATES = 256
 
@@ -203,7 +203,7 @@ def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel) -> FiniteKernel
 
 
 def stationary_distribution(K: FiniteKernel) -> ProbVector:
-    """Unique pi with pi K = pi, by one of two routes.
+    """Unique pi with pi K = pi, by one of two routes (eps and c from K.column_minima).
 
     Ratio route, for kernels the Doeblin gate certifies (below).  A
     pi-reversible K has pi(y) K(y, c) = pi(c) K(c, y), so the candidate is
@@ -225,11 +225,10 @@ def stationary_distribution(K: FiniteKernel) -> ProbVector:
     variance.check_invariant.  The ratio route is taken only where the
     LU route's gate passes, so both routes accept and reject the same kernels.
     """
-    M, n = K.matrix, K.size
+    M, n, eps = K.matrix, K.size, K.doeblin_coefficient
     u = np.full(n, 1.0 / n)
-    eps = float(_doeblin_coefficient(M, u))
     if _doeblin_bound(M, u, eps) <= 0.5 / EIGENVALUE_ONE_TOL:
-        c = int(np.argmax(M.min(axis=0)))
+        c = int(np.argmax(K.column_minima))
         x = np.maximum(M[c] / M[:, c], 0.0)
         x = x / x.sum()
         if np.sum(np.abs(x @ M - x)) * (2.0 - eps) / eps <= ENTRY_TOL:

@@ -10,6 +10,7 @@ inner products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -118,6 +119,16 @@ class FiniteKernel:
     @property
     def size(self) -> int:
         return self.space.size
+
+    @cached_property
+    def column_minima(self) -> np.ndarray:
+        """min_x K(x, y) for each y, computed once (matrix is a read-only copy)."""
+        return _frozen_array(self.matrix.min(axis=0))
+
+    @property
+    def doeblin_coefficient(self) -> float:
+        """max(sum_y min_x K(x, y), 0): variance._doeblin_coefficient's bits, any law u."""
+        return float(np.maximum(self.column_minima.sum(), 0.0))
 
 
 def check_stochastic(arr: np.ndarray) -> np.ndarray:

@@ -162,11 +162,9 @@ def _inner(pi: ProbVector, a: np.ndarray, b: np.ndarray) -> float:
 def _self_adjoint_probe(P: np.ndarray, pi: np.ndarray) -> bool:
     """<a, P b>_pi = <P a, b>_pi within ENTRY_TOL for two fixed vectors with
     entries in [-1, 1]: a pi-reversible P passes; a P that is not almost
-    always fails.  One (n, 2) product."""
-    t = np.arange(P.shape[-1])
-    ab = np.column_stack([np.cos(t), np.sin(t)])
-    Pab = P @ ab
-    return abs(pi @ (ab[:, 0] * Pab[:, 1] - Pab[:, 0] * ab[:, 1])) <= ENTRY_TOL
+    always fails.  Two gemv; an (n, 2) gemm packs P: 0.9 vs 0.35 ms, n = 1024, 2 CPUs."""
+    a, b = np.cos(t := np.arange(P.shape[-1])), np.sin(t)
+    return abs(pi @ (a * (P @ b) - (P @ a) * b)) <= ENTRY_TOL
 
 
 def _conjugate_gradient(P: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
@@ -256,11 +254,14 @@ def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
     LU route, for every other input and whenever the certificate is out of
     reach: the one factorisation of _fundamental_solve.
     """
+    return _homogeneous_stack(P, pi, F, float(_doeblin_coefficient(P, pi)))
+
+
+def _homogeneous_stack(P, pi, F, eps: float) -> tuple[np.ndarray, np.ndarray, dict]:
     check_invariant(pi, P, "P")
     fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
     rhs = P @ fbar.T
     n, k = rhs.shape
-    eps = float(_doeblin_coefficient(P, pi))
     solved = None
     if (n >= CG_MIN_STATES and k * CG_STATES_PER_FUNCTION <= n
             and (bound := _doeblin_bound(P, pi, eps)) <= 0.5 / EIGENVALUE_ONE_TOL
@@ -278,8 +279,9 @@ def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
 
 
 def asvar_homogeneous(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> VarianceReport:
-    """Exact asymptotic variance of a homogeneous chain: asvar_homogeneous_stack for one f."""
-    (value,), (var_f,), gate = asvar_homogeneous_stack(P.matrix, pi.weights, f.values[None, :])
+    """Exact asymptotic variance of one f: asvar_homogeneous_stack, eps off P's record."""
+    (value,), (var_f,), gate = _homogeneous_stack(P.matrix, pi.weights, f.values[None, :],
+                                                  P.doeblin_coefficient)
     return VarianceReport(value=float(value), method="closed_form",
                           diagnostics={"variance_of_f": float(var_f), **gate})
 
@@ -289,11 +291,15 @@ def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray, np.nda
 
     P, Q: (..., n, n) and pi, f: (..., n) with broadcastable leading axes;
     returns (values, bound, certified) of the leading shape: bound caps the
-    centered spectral radius rho of PQ - 1 pi^T, which is also QP's, since
-    PQ - 1 pi^T = (P - 1 pi^T)(Q - 1 pi^T) and QP - 1 pi^T is the reverse
-    product.  ValueError when pi is not invariant for some P or Q;
-    SummabilityError, with the worst member's rho, when some
-    rho >= 1 - SPECTRAL_MARGIN.
+    centered spectral radius rho of AB = PQ - 1 pi^T, A = P - 1 pi^T and
+    B = Q - 1 pi^T, which is also that of BA = QP - 1 pi^T.  ValueError when
+    pi is not invariant for some P or Q; SummabilityError, with the worst
+    member's rho, when some rho >= 1 - SPECTRAL_MARGIN.
+
+    One LU of Z = I - AB (rho < 1 keeps it nonsingular), one right-hand side:
+    the X_0 tails sum to y = Z^-1 A (B fbar + fbar), and by the push-through
+    identity (I - BA)^-1 B = B Z^-1 (Henderson & Searle, 1981) with
+    Z^-1 = I + Z^-1 AB, the X_1 tails sum to B Z^-1 (A fbar + fbar) = B (fbar + y).
 
     The gate first takes the Doeblin coefficient eps = sum_y m_y,
     m_y = min_x PQ(x, y), of each member (_doeblin_coefficient, one O(n^2)
@@ -312,11 +318,9 @@ def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray, np.nda
     holds for any K moved by that little, such as eigvals' backward error, so a
     certified member also passes the eigvals test: both gates decide alike.
     """
-    D = np.stack([P, Q], axis=-3)
-    check_invariant(pi[..., None, :], D, "some P or Q")
-    pi_rows = pi[..., None, None, :]  # the rows of 1 pi^T, against (..., 2, n, n)
-    M = D @ D[..., ::-1, :, :]  # PQ and QP
-    PQ = M[..., 0, :, :]
+    for name, K in (("some P", P), ("some Q", Q)):
+        check_invariant(pi, K, name)
+    PQ = P @ Q
     pis = np.broadcast_to(pi, PQ.shape[:-1])
     eps = _doeblin_coefficient(PQ, pis)
     certified = eps >= 2.0 * SPECTRAL_MARGIN + 2.0 * PQ.shape[-1] * ENTRY_TOL
@@ -330,15 +334,12 @@ def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray, np.nda
             f"absolute-summability condition fails: centered spectral radius {worst:.12f}",
             spectral_radius=worst)
     fbar = f - np.sum(pi * f, axis=-1, keepdims=True)
-    # X_0 series: lags 2n -> <fbar, A^n fbar> (n>=1), 2n+1 -> <fbar, A^n P fbar> (n>=0)
-    # for A = PQ; X_1 series likewise with B = QP and Q.  Each geometric tail is one
-    # column of one stacked solve by Z = I - M + 1 pi^T; rho < 1 keeps Z nonsingular.
-    fcol = fbar[..., None, :, None]
-    centred = M - pi_rows
-    rhs = np.concatenate([centred @ fcol, (D - pi_rows) @ fcol], axis=-1)
-    tails = np.linalg.solve(np.eye(PQ.shape[-1]) - centred, rhs)
+    pi_rows, fcol = pi[..., None, :], fbar[..., :, None]
+    B = Q - pi_rows
+    y = np.linalg.solve(np.eye(PQ.shape[-1]) - (PQ - pi_rows),
+                        (P - pi_rows) @ (B @ fcol + fcol))
     w = pi * fbar
-    values = np.sum(w * fbar, axis=-1) + np.einsum("...i,...aib->...", w, tails)
+    values = np.sum(w * (fbar + (y + B @ (fcol + y))[..., 0]), axis=-1)
     return np.maximum(values, 0.0), bound, certified
 
 

@@ -99,3 +99,23 @@ def gmtm_exact_kernel_loop(m: GmtmModel) -> FiniteKernel:
                     K[i, idx[yh]] += p_vs * p_sel * p_vh * alpha
         K[i, i] += 1.0 - K[i].sum()
     return FiniteKernel(K, StateSpace(support))
+
+
+def asvar_alternating_two_systems(P: np.ndarray, Q: np.ndarray, pi: np.ndarray,
+                                  f: np.ndarray) -> np.ndarray:
+    """Alternating-chain variances by two systems: the X_0 tails solved with
+    Z_PQ = I - PQ + 1 pi^T and the X_1 tails with Z_QP, the product QP formed
+    (stacks as in asvar_alternating_stack; no summability gate).  Lags 2k give
+    <fbar, (K - 1 pi^T)^k fbar> (k >= 1), lags 2k + 1 <fbar, (K - 1 pi^T)^k
+    (L - 1 pi^T) fbar> (k >= 0), for (K, L) = (PQ, P) from X_0 and (QP, Q)
+    from X_1."""
+    D = np.stack([P, Q], axis=-3)
+    pi_rows = pi[..., None, None, :]
+    centred = D @ D[..., ::-1, :, :] - pi_rows  # PQ and QP
+    fbar = f - np.sum(pi * f, axis=-1, keepdims=True)
+    fcol = fbar[..., None, :, None]
+    rhs = np.concatenate([centred @ fcol, (D - pi_rows) @ fcol], axis=-1)
+    tails = np.linalg.solve(np.eye(P.shape[-1]) - centred, rhs)
+    w = pi * fbar
+    values = np.sum(w * fbar, axis=-1) + np.einsum("...i,...aib->...", w, tails)
+    return np.maximum(values, 0.0)

@@ -290,8 +290,9 @@ def test_unusable_out_dir_is_a_config_error_before_the_run(tmp_path, capsys, mon
 
 
 def test_simulation_rows_are_labeled_by_how_they_were_made(tmp_path):
-    """rmcmc writes one accept_rate row per replicate; no row claims batch
-    means unless batch means made its standard error."""
+    """rmcmc writes one accept_rate row per replicate, ABC one per step kind
+    (refresh, move); no row claims batch means unless batch means made its
+    standard error."""
     for doc in ({"scenario": "rmcmc-gaussian", "chain_length": 2000, "replicates": 3},
                 {"scenario": "abc-random-refresh", "chain_length": 500}):
         out = str(tmp_path / doc["scenario"])
@@ -308,6 +309,12 @@ def test_simulation_rows_are_labeled_by_how_they_were_made(tmp_path):
                  if r["metric"] == "accept_rate"}
     assert set(rates) == {"0", "1", "2"}
     assert all(0.0 < rate < 1.0 for rate in rates.values())
+    with open(os.path.join(tmp_path / "abc-random-refresh", "results.csv")) as fh:
+        rates = {r["metric"]: (float(r["value"]), r["method"]) for r in csv.DictReader(fh)
+                 if r["metric"].startswith("accept_rate")}
+    assert set(rates) == {"accept_rate(refresh)", "accept_rate(move)"}
+    assert all(0.0 < rate < 1.0 and method == "empirical_frequency"
+               for rate, method in rates.values())
 
 
 def test_remark14_report_names_the_function_it_called(tmp_path, monkeypatch):

@@ -191,6 +191,68 @@ def test_certified_gate_factorises_once(solves):
         np.mean(fbar ** 2) + 2.0 * np.mean(fbar * g), rel=1e-12, abs=0)
 
 
+def record_kernels():
+    """The gate_kernel inputs (n = 4, 17, 64, 512; couplings 1e-2 to 1e-13 for
+    the near-reducible kind) and two-state kernels with eps = 10^-k for
+    k = 0-13, each with its pi."""
+    rng = np.random.default_rng(83)
+    for kind in ("dense", "sparse", "near_reducible"):
+        for n in (4, 17, 64, 512):
+            for delta in ((1e-2, 1e-6, 1e-9, 1e-13) if kind == "near_reducible" else (0.0,)):
+                M, pi = gate_kernel(kind, n, rng, delta)
+                yield FiniteKernel(M), ProbVector(pi)
+    for eps in np.logspace(0, -13, 14):
+        yield (FiniteKernel([[1.0 - eps / 2, eps / 2], [eps / 2, 1.0 - eps / 2]]),
+               ProbVector([0.5, 0.5]))
+
+
+def test_kernel_record_matches_the_raw_array_path(monkeypatch):
+    """A FiniteKernel's Doeblin coefficient is _doeblin_coefficient's, bit for
+    bit, for u uniform and u = pi.  stationary_distribution and
+    asvar_homogeneous, which read the record, return the values, exceptions
+    and gate records of the raw-array path: asvar_homogeneous_stack, and
+    stationary_distribution with the record recomputed from the matrix on
+    every read, as before the record existed."""
+    def outcome(call):
+        try:
+            return call()
+        except (ReducibleChainError, ReducibleKernelError) as exc:
+            return type(exc)
+
+    def runs(kernels):
+        laws, solvers = [], []
+        for K, pi in kernels:
+            f = FunctionVector(np.sin(np.arange(K.size)), K.space)
+            laws.append(outcome(lambda: stationary_distribution(K).weights))
+            report = outcome(lambda: asvar_homogeneous(K, pi, f))
+            raw = outcome(lambda: asvar_homogeneous_stack(K.matrix, pi.weights,
+                                                          f.values[None, :]))
+            if isinstance(report, VarianceReport):
+                (value,), (var_f,), gate = raw
+                assert report.value == value
+                assert report.diagnostics == {"variance_of_f": var_f, **gate}
+                solvers.append(report.diagnostics["solver"])
+            else:
+                assert report == ReducibleChainError and raw == report
+        return laws, solvers
+
+    cases = list(record_kernels())
+    for K, pi in cases:
+        for u in (np.full(K.size, 1.0 / K.size), pi.weights):
+            assert K.doeblin_coefficient == float(_doeblin_coefficient(K.matrix, u))
+    recorded, solvers = runs(cases)
+    assert {"lu", "cg"} <= set(solvers)
+    monkeypatch.setattr(FiniteKernel, "column_minima",
+                        property(lambda K: K.matrix.min(axis=0)))
+    monkeypatch.setattr(FiniteKernel, "doeblin_coefficient", property(
+        lambda K: float(_doeblin_coefficient(K.matrix, np.full(K.size, 1.0 / K.size)))))
+    recomputed, _ = runs(cases)
+    assert {a if isinstance(a, type) else type(a) for a in recorded} == {ReducibleKernelError,
+                                                                         np.ndarray}
+    for a, b in zip(recorded, recomputed):
+        assert a == b if isinstance(a, type) else np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("n", [3, 12, 64])
 @pytest.mark.parametrize("k", [1, 5, 20])
 def test_homogeneous_stack_matches_per_function_calls(n, k):
@@ -381,6 +443,57 @@ def test_stack_containing_the_flip_pair_raises_summability_error():
         asvar_alternating_stack(np.stack([P, flip]), np.stack([Q, flip]),
                                 np.stack([pi, [0.5, 0.5]]), np.stack([f, [-1.0, 1.0]]))
     assert info.value.spectral_radius >= 1.0 - 1e-9
+
+
+class SquareProducts(np.ndarray):
+    """An array whose matmuls count the square-by-square matrix products
+    they make (every member of a stack counts), in SquareProducts.count; the
+    arrays computed from it, by ufuncs or functions such as np.stack, are
+    SquareProducts too."""
+
+    count = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, SquareProducts) else x
+                 for x in inputs]
+        shapes = [np.shape(x) for x in plain]
+        if ufunc is np.matmul and all(len(s) >= 2 and s[-2] == s[-1] > 1 for s in shapes):
+            SquareProducts.count += int(np.prod(np.broadcast_shapes(
+                *(s[:-2] for s in shapes)), dtype=int))
+        return self._wrap(getattr(ufunc, method)(*plain, **kwargs))
+
+    def __array_function__(self, func, types, args, kwargs):
+        return self._wrap(super().__array_function__(func, types, args, kwargs))
+
+    @staticmethod
+    def _wrap(out):
+        return out.view(SquareProducts) if type(out) is np.ndarray else out
+
+
+@pytest.mark.parametrize("stack", [(), (3,), (2, 2)])
+def test_alternating_stack_factorises_once_and_forms_no_qp(solves, stack):
+    """One np.linalg.solve per call, and one n x n product per member (PQ),
+    for a single pair and for stacks, on the Doeblin and the eigvals gate."""
+    rng = np.random.default_rng(79)
+    size = int(np.prod(stack, dtype=int))
+    for n, ring in ((5, False), (8, True)):
+        members = []
+        for _ in range(size):
+            P, Q, pi, f = random_pair_arrays(rng, n)
+            if ring:
+                P, Q, pi = lazy_ring(n, 0.3), lazy_ring(n, 0.6), np.full(n, 1.0 / n)
+            members.append((P, Q, pi, f))
+        P, Q, pi, f = (np.array(column).reshape(*stack, *column[0].shape)
+                       for column in zip(*members))
+        SquareProducts.count = 0
+        out = []
+        assert solves(lambda: out.append(asvar_alternating_stack(
+            P.view(SquareProducts), Q.view(SquareProducts), pi, f))) == 1
+        assert SquareProducts.count == size
+        values, _, certified = (np.asarray(x) for x in out[0])
+        assert values.shape == stack and np.all(certified != ring)
+        assert np.all(np.abs(values - oracles.asvar_alternating_two_systems(P, Q, pi, f))
+                      <= 1e-12 * values)
 
 
 def eigvals_gate(P, Q, pi):
