@@ -392,11 +392,9 @@ def truncated_autocov_series(m: AlternatingModel, K: int) -> VarianceReport:
                                        "l2_norm": sigma})
 
 
-def alternating_partial_sum_variance(m: AlternatingModel, n: int, *,
-                                     prefixes: bool = False):
-    """Exact Var(S_n), S_n = sum_{k<n} f(X_k), for the alternating chain
-    started from pi; with prefixes=True the array [Var(S_0), ..., Var(S_n)]
-    from the same pass.
+def alternating_partial_sum_variance(m: AlternatingModel, n: int) -> np.ndarray:
+    """Exact [Var(S_0), ..., Var(S_n)], S_k = sum_{j<k} f(X_j), for the
+    alternating chain started from pi; Var(S_n) alone is the last entry.
 
     S_{k+1} adds X_k, whose covariances with the earlier terms are those of
     alternating_autocov at lag l with start parity (k - l) mod 2.  Linear in
@@ -412,8 +410,7 @@ def alternating_partial_sum_variance(m: AlternatingModel, n: int, *,
     same = np.cumsum(cov[k, odd])
     other = np.cumsum(cov[k, 1 - odd])
     added = _inner(m.pi, fbar, fbar) + 2.0 * np.where(odd == 0, same, other)
-    variances = np.concatenate([[0.0], np.cumsum(added)])
-    return variances if prefixes else float(variances[n])
+    return np.concatenate([[0.0], np.cumsum(added)])
 
 
 def batch_means_variance(trace: Sequence[float], batch_count: int = 100) -> VarianceReport:

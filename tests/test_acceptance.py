@@ -89,7 +89,7 @@ def test_criterion_03_flip_counterexample():
         asvar_alternating(m)
     assert info.value.spectral_radius >= 1.0 - 1e-9
     for n in range(1, 41):
-        mean_variance = alternating_partial_sum_variance(m, n) / n ** 2
+        mean_variance = alternating_partial_sum_variance(m, n)[n] / n ** 2
         assert mean_variance <= 1.0 / n + 1e-12
 
 

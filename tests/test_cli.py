@@ -55,9 +55,12 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 1
 
 
-def test_invalid_replicates_rejected(tmp_path):
-    cfg = write_config(tmp_path, {"scenario": "remark14", "replicates": 0})
-    assert cli.main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
+def test_invalid_replicates_rejected(tmp_path, capsys):
+    for replicates in (0, -3):
+        cfg = write_config(tmp_path, {"scenario": "rmcmc-gaussian", "replicates": replicates})
+        assert cli.main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"replicates must be >= 1, got {replicates}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_writes_all_outputs_and_is_deterministic(tmp_path):
@@ -77,7 +80,7 @@ def test_run_writes_all_outputs_and_is_deterministic(tmp_path):
     assert all("assertion" in a and "detail" in a for a in report["assertions"])
     meta = json.loads(Path(os.path.join(out1, "metadata.json")).read_text())
     assert meta["seed"] == 5
-    assert meta["replicate_seeds"] == [5]
+    assert set(meta) == {"scenario", "seed", "rng", "params", "tolerances", "elapsed_seconds"}
     assert meta["rng"] == "numpy-pcg64"
     assert "tolerances" in meta
 
@@ -143,11 +146,12 @@ def test_usage_errors_exit_1_without_a_traceback(tmp_path, flags):
                                       "ergodicity-certificates"])
 def test_replicates_are_config_errors_where_no_runner_uses_them(tmp_path, capsys,
                                                                 scenario):
-    """metadata.json would list replicate seeds that no run used."""
+    """metadata.json would record a replicate count that no run used."""
     doc = {"scenario": scenario, "replicates": 2, "chain_length": 500}
     out = str(tmp_path / "o")
     assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
-    assert "rmcmc-gaussian takes replicates > 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{scenario} takes no params [" in err and "'replicates'" in err
     assert not os.path.exists(os.path.join(out, "metadata.json"))
 
 
@@ -204,6 +208,67 @@ def test_unknown_params_are_config_errors(tmp_path, capsys, scenario, params):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+def test_unknown_top_level_keys_are_config_errors():
+    """A misspelt seed or chain length would run at the default."""
+    with pytest.raises(cli.ConfigError, match=r"unknown config keys \['chainlength', 'sead'\]"):
+        cli.config_from_document({"scenario": "remark14", "sead": 3, "chainlength": 5})
+
+
+@pytest.mark.parametrize("name", ["chain_length", "replicates"])
+def test_top_level_params_inside_params_are_config_errors(name):
+    """Each key has one spelling: chain_length and replicates sit at the top level."""
+    with pytest.raises(cli.ConfigError, match=f"'{name}'.* top level"):
+        cli.config_from_document({"scenario": "rmcmc-gaussian", "params": {name: 300}})
+
+
+def test_top_level_params_are_parsed_and_recorded_as_params(tmp_path, capsys):
+    """chain_length and replicates are declared params: describe lists them,
+    and metadata.json records them in params."""
+    assert cli.main(["describe", "rmcmc-gaussian"]) == 0
+    assert '"chain_length": 100000, "replicates": 1' in capsys.readouterr().out
+    cfg = cli.config_from_document({"scenario": "rmcmc-gaussian", "chain_length": 400,
+                                    "replicates": 2, "seed": 3})
+    assert cfg == cli.ScenarioConfig("rmcmc-gaussian", {"step": 1.0, "chain_length": 400,
+                                                        "replicates": 2}, 3)
+    out = str(tmp_path / "o")
+    assert cli.run_scenario(cfg, out) == 0
+    meta = json.loads(Path(os.path.join(out, "metadata.json")).read_text())
+    assert meta["params"] == cfg.params
+
+
+@pytest.mark.parametrize("replicates, z", [(1, "4.75"), (4, "5.03")])
+def test_rmcmc_mean_check_is_sized_to_a_family_wise_rate(tmp_path, replicates, z):
+    """Bonferroni over the replicates at the recorded rate; seed 637586919 has
+    z = 4.40 at 10 000 steps, a false alarm of the former fixed 4-se check."""
+    doc = {"scenario": "rmcmc-gaussian", "seed": 637586919, "chain_length": 10_000,
+           "replicates": replicates}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 0
+    report = json.loads(Path(os.path.join(out, "report.json")).read_text())
+    assert [a["assertion"] for a in report["assertions"]] == [
+        f"replicate {rep} mean within {z} se of 0" for rep in range(replicates)]
+    assert all(f"family-wise alpha {cli.RMCMC_ALPHA}" in a["detail"]
+               for a in report["assertions"])
+
+
+def test_non_finite_report_value_is_a_model_error_that_writes_nothing(tmp_path, capsys,
+                                                                       monkeypatch):
+    """JSON has no NaN; the run exits 2 before it opens any output file."""
+    def nan_runner(cfg):
+        res = cli.ScenarioResult()
+        res.check("holds", True, "stub")
+        res.report["gap"] = float("nan")
+        return res
+
+    monkeypatch.setitem(cli._REGISTRY, "remark14",
+                        cli.ScenarioSpec("remark14", "stub", nan_runner, {}))
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, {"scenario": "remark14"}),
+                     "--out-dir", out]) == 2
+    assert "runtime model error" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("chain_length", [0, 150])
 def test_rmcmc_chain_too_short_for_batch_means_is_config_error(tmp_path, capsys,
                                                               chain_length):
@@ -224,7 +289,7 @@ def test_chain_length_is_a_config_error_where_no_chain_runs(tmp_path, capsys, sc
     doc = {"scenario": scenario, "chain_length": 5000}
     out = str(tmp_path / "o")
     assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
-    assert "takes no chain_length" in capsys.readouterr().err
+    assert f"{scenario} takes no params ['chain_length']" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -1,5 +1,7 @@
 """Property tests over random finite models and kernels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from varorder.ergodicity import fit_certificate
 from varorder.exactify import (ALGORITHMS, FiniteAugmentedModel, extract_kernel,
                                stationary_distribution)
-from varorder import toys
+from varorder import cli, toys
 from varorder.kernels import (ENTRY_TOL, FiniteKernel, FunctionVector, ProbVector,
                               StateSpace, metropolis)
 from varorder.variance import (EIGENVALUE_ONE_TOL, AlternatingModel, ReducibleChainError,
@@ -160,3 +162,45 @@ def test_one_factorisation_matches_the_two_system_oracle(pair):
                          FunctionVector(f, sp))
     series = truncated_autocov_series(m, 400)
     assert abs(value - series.value) <= series.diagnostics["remainder_bound"] + 1e-10 * value
+
+
+# the edge values each stand as their own branch, so they come up often
+_json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=4),
+                         *map(st.just, (math.inf, -math.inf, math.nan, 2 ** 1100)))
+_json_values = st.recursive(_json_leaves, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                            max_leaves=4)
+
+
+@st.composite
+def config_documents(draw):
+    """JSON-like documents: mostly a known scenario and known keys, with
+    values that are ints, floats (inf and nan included), strings, lists and
+    dicts; now and then an arbitrary key, or no object at all."""
+    keys = st.sampled_from(["scenario", "seed", "params", *cli.TOP_LEVEL_PARAMS])
+    values = _json_leaves | _json_values
+    doc = draw(st.dictionaries(keys, values, max_size=4))
+    often = st.sampled_from([True] * 4 + [False])
+    if draw(often):
+        doc["scenario"] = draw(st.sampled_from(sorted(cli._REGISTRY)))
+    if draw(st.booleans()):
+        doc["params"] = draw(st.dictionaries(st.sampled_from(sorted(cli.PARAM_PARSERS)),
+                                             values, max_size=2))
+    for target in (doc, doc.get("params")):
+        if isinstance(target, dict) and not draw(often):
+            target[draw(st.text(max_size=6))] = draw(values)
+    return doc if draw(often) else draw(values)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(config_documents())
+def test_any_config_document_loads_or_is_a_config_error(doc):
+    """config_from_document returns a ScenarioConfig or raises ConfigError,
+    never another exception; no scenario runs."""
+    try:
+        cfg = cli.config_from_document(doc)
+    except cli.ConfigError:
+        return
+    assert isinstance(cfg, cli.ScenarioConfig)
+    assert set(cfg.params) == set(cli._REGISTRY[cfg.scenario].defaults)

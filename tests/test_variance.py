@@ -359,7 +359,7 @@ def test_alternating_closed_form_vs_partial_sums():
     m = AlternatingModel(P, Q, pi, f)
     v = asvar_alternating(m).value
     n = 600
-    assert alternating_partial_sum_variance(m, n) / n == pytest.approx(v, rel=0.02)
+    assert alternating_partial_sum_variance(m, n)[n] / n == pytest.approx(v, rel=0.02)
 
 
 def test_periodic_pair_raises_summability_error():
@@ -768,31 +768,31 @@ def quadratic_partial_sum_variance(m, n):
 def test_linear_partial_sum_matches_quadratic_reference(n):
     flip = toys.flip_kernel()
     m = AlternatingModel(flip, flip, toys.uniform_two_state(), toys.identity_function())
-    assert alternating_partial_sum_variance(m, n) == quadratic_partial_sum_variance(m, n)
+    assert alternating_partial_sum_variance(m, n)[n] == quadratic_partial_sum_variance(m, n)
     rng = np.random.default_rng(59)
     for size in (2, 3, 6):
         P, pi = random_reversible_kernel(rng, size)
         Q, _ = random_reversible_kernel(rng, size, pi=pi)
         m = AlternatingModel(P, Q, pi, FunctionVector(rng.normal(size=size), pi.space))
-        assert alternating_partial_sum_variance(m, n) == pytest.approx(
+        assert alternating_partial_sum_variance(m, n)[n] == pytest.approx(
             quadratic_partial_sum_variance(m, n), rel=1e-12, abs=0)
 
 
 def test_partial_sum_prefixes_match_the_quadratic_reference():
     flip = toys.flip_kernel()
     m = AlternatingModel(flip, flip, toys.uniform_two_state(), toys.identity_function())
-    prefixes = alternating_partial_sum_variance(m, 41, prefixes=True)
+    prefixes = alternating_partial_sum_variance(m, 41)
     assert prefixes.tolist() == [quadratic_partial_sum_variance(m, n) for n in range(42)]
     rng = np.random.default_rng(61)
     P, pi = random_reversible_kernel(rng, 5)
     Q, _ = random_reversible_kernel(rng, 5, pi=pi)
     m = AlternatingModel(P, Q, pi, FunctionVector(rng.normal(size=5), pi.space))
-    prefixes = alternating_partial_sum_variance(m, 41, prefixes=True)
+    prefixes = alternating_partial_sum_variance(m, 41)
     assert prefixes[0] == 0.0
     for n in range(1, 42):
         assert prefixes[n] == pytest.approx(quadratic_partial_sum_variance(m, n),
                                             rel=1e-12, abs=0)
-        assert prefixes[n] == alternating_partial_sum_variance(m, n)
+        assert prefixes[n] == alternating_partial_sum_variance(m, n)[n]
 
 
 def test_alternating_model_checks_invariance():
