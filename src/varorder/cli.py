@@ -46,6 +46,11 @@ EXACT_TOL = 1e-12
 # a 1% chance of any false alarm in 1000 runs (280 recorded in BENCH_*.json, 720 more
 # allowed), over 5 for the batch-means z's t-like tail (README, Command line).
 RMCMC_ALPHA = 2e-6
+# the largest chain_length and count params (README, Command line): by tracemalloc peaks a
+# run keeps up to 320 bytes a step (the abc-random-refresh trace keeps every ChainState) and
+# 2 kB a replicate, pair or horizon step (rows and assertions), about 1 GB at a maximum
+MAX_CHAIN_LENGTH = 3_000_000
+MAX_COUNT = 500_000
 
 
 class ConfigError(ValueError):
@@ -96,15 +101,18 @@ class ScenarioSpec:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _integer(name: str, value) -> int:
-    """value as an int; anything but an integral number is a config error."""
+def _integer(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
+    """value as an int in [low, high]; anything else is a config error."""
     try:
         whole = int(value)
-        if whole == value and not isinstance(value, bool):
-            return whole
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+        whole = math.nan  # equal to no value
+    if whole != value or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not low <= whole <= high:
+        bound = f">= {low}" if whole < low else f"<= {high}"
+        raise ConfigError(f"{name} must be {bound}, got {whole}")
+    return whole
 
 
 def _number(name: str, value, low: float = 0.0, high: float = math.inf) -> float:
@@ -116,16 +124,13 @@ def _number(name: str, value, low: float = 0.0, high: float = math.inf) -> float
 
 def _count(name: str, value) -> int:
     """A count parameter; zero items would make its assertion hold vacuously."""
-    count = _integer(name, value)
-    if count < 1:
-        raise ConfigError(f"{name} must be >= 1, got {count}")
-    return count
+    return _integer(name, value, 1, MAX_COUNT)
 
 
 def _tries(name: str, value) -> int:
     """A try count whose GMTM embedding on the toy's support, with
     |support|^tries joint states, fits the exact layer."""
-    tries = _count(name, value)
+    tries = _integer(name, value, low=1)
     states, cap = len(toys.gmtm_toy(1).support), 1
     while states ** (cap + 1) <= exactify.MAX_JOINT_STATES:
         cap += 1
@@ -142,10 +147,11 @@ def _epsilons(name: str, value) -> list:
     return [_number("epsilon", e, high=1.0) for e in value]
 
 
-# one parser per scenario parameter name; positive numbers go through _number
+# one parser per scenario parameter name; positive numbers go through _number, and each
+# runner of a chain checks the least chain_length its own checks need
 PARAM_PARSERS = {"horizon": _count, "pairs": _count, "functions": _count, "tries": _tries,
-                 "step": _number, "h": _number, "epsilons": _epsilons,
-                 "chain_length": _integer, "replicates": _count}
+                 "step": _number, "h": _number, "epsilons": _epsilons, "replicates": _count,
+                 "chain_length": lambda name, value: _integer(name, value, high=MAX_CHAIN_LENGTH)}
 # params a config writes at its top level, beside "params", and nowhere else
 TOP_LEVEL_PARAMS = ("chain_length", "replicates")
 
@@ -245,8 +251,8 @@ def _ordering_rows(res: ScenarioResult, m, cfg: ScenarioConfig,
     rng = RngStream(cfg.scenario, cfg.seed).generator
     F_y = rng.normal(size=(cfg.params["functions"], m.Y.size))
     F = np.repeat(F_y, m.U.size, axis=1)  # each function of y lifted to (y, u)
-    pi = m.joint_pi.weights
-    vals = {a: asvar_homogeneous_stack(exactify.extract_kernel(a, m).kernel.matrix, pi, F)[0]
+    pi = m.joint_pi
+    vals = {a: asvar_homogeneous_stack(exactify.extract_kernel(a, m).kernel, pi, F)[0]
             for a in algorithms}
     for a, v in vals.items():
         res.add(a, "asvar(f0)", float(v[0]))
@@ -325,7 +331,7 @@ def _run_marginal_mh_peskun(cfg: ScenarioConfig) -> ScenarioResult:
               cert.holds, f"off_diagonal_order_check; witness {cert.witness!r}")
     rng = RngStream(cfg.scenario, cfg.seed).generator
     F = rng.normal(size=(cfg.params["functions"], m.Y.size))
-    v_sys, v_mh = (asvar_homogeneous_stack(K.matrix, m.pi_star, F)[0] for K in (sys_y, mh_y))
+    v_sys, v_mh = (asvar_homogeneous_stack(K, m.pi_star_vector, F)[0] for K in (sys_y, mh_y))
     min_margin = float(np.min(v_sys - v_mh))
     res.add("marginal_mh", "min_margin_vs_systematic", min_margin)
     res.check("asvar(marginal MH) <= asvar(systematic refreshment)",
@@ -541,7 +547,7 @@ def config_from_document(doc: dict, seed_override=None) -> ScenarioConfig:
         raise ConfigError(f"{name} takes no params {unknown}; its params: {sorted(spec.defaults)}")
     params = {k: PARAM_PARSERS[k](k, params.get(k, v)) for k, v in spec.defaults.items()}
     seed = doc.get("seed", 0) if seed_override is None else seed_override
-    return ScenarioConfig(scenario=name, params=params, seed=_integer("seed", seed))
+    return ScenarioConfig(scenario=name, params=params, seed=_integer("seed", seed, low=0))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:

@@ -227,14 +227,14 @@ def stationary_distribution(K: FiniteKernel) -> ProbVector:
     """
     M, n, eps = K.matrix, K.size, K.doeblin_coefficient
     u = np.full(n, 1.0 / n)
-    if _doeblin_bound(M, u, eps) <= 0.5 / EIGENVALUE_ONE_TOL:
+    if _doeblin_bound(n, eps) <= 0.5 / EIGENVALUE_ONE_TOL:
         c = int(np.argmax(K.column_minima))
         x = np.maximum(M[c] / M[:, c], 0.0)
         x = x / x.sum()
         if np.sum(np.abs(x @ M - x)) * (2.0 - eps) / eps <= ENTRY_TOL:
             return ProbVector(x, K.space)
     try:
-        pi, _ = _fundamental_solve(M, u, u[:, None], transposed=True, eps=eps)
+        pi, _ = _fundamental_solve(K, u, u[:, None], transposed=True)
         pi = np.maximum(pi[:, 0], 0.0)
         pi = pi / pi.sum()
         check_invariant(pi, M, "K")

@@ -101,45 +101,42 @@ def _doeblin_coefficient(M: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(stochastic, np.maximum(column_min.sum(axis=-1), 0.0), 0.0)
 
 
-def _doeblin_bound(M: np.ndarray, u: np.ndarray, eps: float | None = None) -> float:
-    """B = 3 n (2 - eps) / eps >= ||Z^{-1}||_1 for Z = I - M + 1 u^T, where
-    eps is M's _doeblin_coefficient (computed unless the caller has it); inf
-    when eps = 0.
+def _doeblin_bound(n: int, eps: float) -> float:
+    """B = 3 n (2 - eps) / eps >= ||Z^{-1}||_1 for Z = I - M + 1 u^T, M a
+    stochastic kernel on n states with Doeblin coefficient eps and u a law;
+    inf when eps = 0.
 
     ||M^t(x, .) - pi||_1 <= 2 (1 - eps)^t bounds ||Z_pi^{-1}||_inf by
     (2 - eps) / eps for Z_pi^{-1} = I + sum_{t>=1} (M^t - 1 pi^T); since
     Z_pi 1 = 1 and (u - pi)^T 1 = 0, Sherman-Morrison gives
     Z^{-1} = (I - 1 (u - pi)^T) Z_pi^{-1}, whose first factor has
-    ||.||_inf <= 3; and ||.||_1 <= n ||.||_inf.  O(n^2).
+    ||.||_inf <= 3; and ||.||_1 <= n ||.||_inf.
     """
-    eps = float(_doeblin_coefficient(M, u)) if eps is None else eps
-    return 3.0 * M.shape[-1] * (2.0 - eps) / eps if eps > 0.0 else float("inf")
+    return 3.0 * n * (2.0 - eps) / eps if eps > 0.0 else float("inf")
 
 
-def _fundamental_solve(M: np.ndarray, u: np.ndarray, rhs: np.ndarray,
-                       transposed: bool = False,
-                       eps: float | None = None) -> tuple[np.ndarray, dict]:
+def _fundamental_solve(K: FiniteKernel, u: np.ndarray, rhs: np.ndarray,
+                       transposed: bool = False) -> tuple[np.ndarray, dict]:
     """Solve Z x = rhs (Z^T x = rhs if transposed), rhs (n, k), for
-    Z = I - M + 1 u^T; returns x and the gate's record {"gate": "doeblin",
-    "inverse_norm": B}, B an upper bound on ||Z^{-1}||_1, or {"gate": "exact",
-    "inverse_norm": ||Z^{-1}||_1}.
+    Z = I - M + 1 u^T, M = K.matrix, u a law; returns x and the gate's record
+    {"gate": "doeblin", "inverse_norm": B}, B an upper bound on ||Z^{-1}||_1,
+    or {"gate": "exact", "inverse_norm": ||Z^{-1}||_1}.
 
     For u summing to 1, Z is singular exactly when the eigenvalue 1 of the
     stochastic M is not simple.  ReducibleChainError when LAPACK finds Z
     singular, x is not finite, or ||Z^{-1}||_1 exceeds 1 / EIGENVALUE_ONE_TOL.
-    The Doeblin bound B = 3 n (2 - eps) / eps of _doeblin_bound decides when
-    B <= 1 / (2 EIGENVALUE_ONE_TOL) (the factor 1/2 is slack for rows summing
-    to 1 only within ENTRY_TOL).  Otherwise (a zero column minimum, a
-    near-reducible M) the identity rides along with rhs and the norm is read
-    off the inverse: its largest column sum, or row sum when transposed.
-    One factorisation on either path; the n extra columns cost about 3-4 LUs
-    (a sparse ring at 256-2048 states).  eps, when given, is M's
-    _doeblin_coefficient for this u, already computed by the caller.
+    The Doeblin bound B = 3 n (2 - eps) / eps of _doeblin_bound, eps off K's
+    record, decides when B <= 1 / (2 EIGENVALUE_ONE_TOL) (the factor 1/2 is
+    slack for rows summing to 1 only within ENTRY_TOL).  Otherwise (a zero
+    column minimum, a near-reducible M) the identity rides along with rhs and
+    the norm is read off the inverse: its largest column sum, or row sum when
+    transposed.  One factorisation on either path; the n extra columns cost
+    about 3-4 LUs (a sparse ring at 256-2048 states).
     """
-    n = M.shape[-1]
+    M, n = K.matrix, K.size
     Z = u - M
     Z[np.arange(n), np.arange(n)] += 1.0
-    bound = _doeblin_bound(M, u, eps)
+    bound = _doeblin_bound(n, K.doeblin_coefficient)
     certified = bound <= 0.5 / EIGENVALUE_ONE_TOL
     try:
         x = np.linalg.solve(Z.T if transposed else Z,
@@ -218,13 +215,13 @@ def _conjugate_gradient(P: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
         iterations += 1
 
 
-def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
+def asvar_homogeneous_stack(K: FiniteKernel, law: ProbVector,
                             F: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """Exact asymptotic variances of k functions F (k, n) of one homogeneous
-    chain P (n, n) with stationary pi (n,); returns (values, variance_of_f,
-    gate), gate being the record of the ||.^-1||_1 figure the gate used
-    ("gate", "inverse_norm", see _fundamental_solve) and of the solver that
-    ran ("solver": "lu" or "cg"; with "cg" also "iterations" and
+    chain P = K.matrix with stationary pi = law.weights; returns (values,
+    variance_of_f, gate), gate being the record of the ||.^-1||_1 figure the
+    gate used ("gate", "inverse_norm", see _fundamental_solve) and of the
+    solver that ran ("solver": "lu" or "cg"; with "cg" also "iterations" and
     "error_bound", the largest certified |v - v_exact| over the functions).
 
     v = pi fbar^2 + 2 <fbar, g> with (I - P + 1 pi^T) g = P fbar, a column
@@ -254,21 +251,18 @@ def asvar_homogeneous_stack(P: np.ndarray, pi: np.ndarray,
     LU route, for every other input and whenever the certificate is out of
     reach: the one factorisation of _fundamental_solve.
     """
-    return _homogeneous_stack(P, pi, F, float(_doeblin_coefficient(P, pi)))
-
-
-def _homogeneous_stack(P, pi, F, eps: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    P, pi, eps = K.matrix, law.weights, K.doeblin_coefficient
     check_invariant(pi, P, "P")
     fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
     rhs = P @ fbar.T
     n, k = rhs.shape
     solved = None
     if (n >= CG_MIN_STATES and k * CG_STATES_PER_FUNCTION <= n
-            and (bound := _doeblin_bound(P, pi, eps)) <= 0.5 / EIGENVALUE_ONE_TOL
+            and (bound := _doeblin_bound(n, eps)) <= 0.5 / EIGENVALUE_ONE_TOL
             and pi.min() > 0.0 and _self_adjoint_probe(P, pi)):
         solved = _conjugate_gradient(P, pi, rhs, fbar, eps)
     if solved is None:
-        g, gate = _fundamental_solve(P, pi, rhs, eps=eps)
+        g, gate = _fundamental_solve(K, pi, rhs)
         gate["solver"] = "lu"
     else:
         g, record = solved
@@ -279,9 +273,8 @@ def _homogeneous_stack(P, pi, F, eps: float) -> tuple[np.ndarray, np.ndarray, di
 
 
 def asvar_homogeneous(P: FiniteKernel, pi: ProbVector, f: FunctionVector) -> VarianceReport:
-    """Exact asymptotic variance of one f: asvar_homogeneous_stack, eps off P's record."""
-    (value,), (var_f,), gate = _homogeneous_stack(P.matrix, pi.weights, f.values[None, :],
-                                                  P.doeblin_coefficient)
+    """Exact asymptotic variance of one f: one row of asvar_homogeneous_stack."""
+    (value,), (var_f,), gate = asvar_homogeneous_stack(P, pi, f.values[None, :])
     return VarianceReport(value=float(value), method="closed_form",
                           diagnostics={"variance_of_f": float(var_f), **gate})
 

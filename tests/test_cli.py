@@ -55,6 +55,46 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 1
 
 
+@pytest.mark.parametrize("doc, args, message", [
+    ({"scenario": "abc-random-refresh", "chain_length": 2**1100}, [],
+     "chain_length must be <= 3000000"),
+    ({"scenario": "rmcmc-gaussian", "replicates": 2**1100}, [], "replicates must be <= 500000"),
+    ({"scenario": "rmcmc-gaussian", "chain_length": 10**13}, [],
+     "chain_length must be <= 3000000"),
+    ({"scenario": "freeze-vs-refresh", "seed": -1}, [], "seed must be >= 0, got -1"),
+    ({"scenario": "rmcmc-gaussian", "seed": -1}, [], "seed must be >= 0, got -1"),
+    ({"scenario": "remark14", "seed": -1}, [], "seed must be >= 0, got -1"),
+    ({"scenario": "remark14"}, ["--seed", "-1"], "seed must be >= 0, got -1")])
+def test_out_of_range_configs_are_config_errors_at_load(tmp_path, capsys, doc, args,
+                                                        message):
+    """Values past the limits fail in one line before the run: the huge ones
+    overflowed or ran out of memory inside it, and a negative seed failed only
+    in the scenarios that draw random numbers."""
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and message in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("scenario, name, most", [
+    ("rmcmc-gaussian", "chain_length", cli.MAX_CHAIN_LENGTH),
+    ("abc-random-refresh", "chain_length", cli.MAX_CHAIN_LENGTH),
+    ("rmcmc-gaussian", "replicates", cli.MAX_COUNT),
+    ("theorem4-random-pairs", "pairs", cli.MAX_COUNT),
+    ("flip-counterexample", "horizon", cli.MAX_COUNT),
+    ("ergodicity-certificates", "horizon", cli.MAX_COUNT),
+    ("freeze-vs-refresh", "functions", cli.MAX_COUNT)])
+def test_the_maxima_load_and_one_more_is_a_config_error(scenario, name, most):
+    def load(value):
+        where = {name: value} if name in cli.TOP_LEVEL_PARAMS else {"params": {name: value}}
+        return cli.config_from_document({"scenario": scenario, **where})
+
+    assert load(most).params[name] == most
+    with pytest.raises(cli.ConfigError, match=f"{name} must be <= {most}, got {most + 1}$"):
+        load(most + 1)
+
+
 def test_invalid_replicates_rejected(tmp_path, capsys):
     for replicates in (0, -3):
         cfg = write_config(tmp_path, {"scenario": "rmcmc-gaussian", "replicates": replicates})

@@ -293,7 +293,7 @@ def test_stationary_distribution_rejects_reducible():
 def lu_stationary(K):
     """The LU route's law: pi (I - K + 1 u^T) = u^T for uniform u, normalised."""
     u = np.full(K.size, 1.0 / K.size)
-    pi, _ = _fundamental_solve(K.matrix, u, u[:, None], transposed=True)
+    pi, _ = _fundamental_solve(K, u, u[:, None], transposed=True)
     pi = np.maximum(pi[:, 0], 0.0)
     return pi / pi.sum()
 

@@ -1,10 +1,13 @@
 """Property tests over random finite models and kernels."""
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from varorder.ergodicity import fit_certificate
@@ -104,9 +107,9 @@ def test_gate_rejects_exactly_when_the_inverse_norm_is_too_large(inputs):
     assume(not abs(norm * EIGENVALUE_ONE_TOL - 1.0) <= 1e-6)
     if not norm <= 1.0 / EIGENVALUE_ONE_TOL:
         with pytest.raises(ReducibleChainError):
-            _fundamental_solve(M, u, rhs, transposed)
+            _fundamental_solve(FiniteKernel(M), u, rhs, transposed)
         return
-    x, _ = _fundamental_solve(M, u, rhs, transposed)
+    x, _ = _fundamental_solve(FiniteKernel(M), u, rhs, transposed)
     A = Z.T if transposed else Z
     scale = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
     assert np.max(np.abs(A @ x - rhs)) <= 1e-12 * scale
@@ -204,3 +207,49 @@ def test_any_config_document_loads_or_is_a_config_error(doc):
         return
     assert isinstance(cfg, cli.ScenarioConfig)
     assert set(cfg.params) == set(cli._REGISTRY[cfg.scenario].defaults)
+
+
+# small valid values of each param, so that a fuzzed run stays short
+_RUN_VALID = {"seed": st.integers(0, 2**32), "horizon": st.integers(1, 5),
+              "pairs": st.integers(1, 5), "functions": st.integers(1, 3),
+              "tries": st.integers(1, 3), "step": st.floats(0.1, 3.0),
+              "h": st.floats(0.5, 2.0),
+              "epsilons": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+              "chain_length": st.integers(200, 1000), "replicates": st.integers(1, 3)}
+_RUN_INVALID = [0, -1, -3, 1.5, "2", "x", math.inf, -math.inf, math.nan, 2**1100]
+_RUN_MAXIMA = {"chain_length": cli.MAX_CHAIN_LENGTH, "horizon": cli.MAX_COUNT,
+               "pairs": cli.MAX_COUNT, "functions": cli.MAX_COUNT,
+               "tries": cli.MAX_COUNT, "replicates": cli.MAX_COUNT}
+
+
+@st.composite
+def run_documents(draw):
+    """A config of any scenario whose seed and params are small and valid or
+    left out, with at most one of them invalid or one past its maximum;
+    chain_length is never left out, as its default is 100 000 steps."""
+    name = draw(st.sampled_from(sorted(cli._REGISTRY)))
+    keys = ("seed", *cli._REGISTRY[name].defaults)
+    values = {key: draw(_RUN_VALID[key]) for key in keys
+              if key == "chain_length" or draw(st.booleans())}
+    bad = draw(st.sampled_from([None, *keys]))
+    if bad is not None:
+        values[bad] = draw(st.sampled_from(
+            [*_RUN_INVALID, *([_RUN_MAXIMA[bad] + 1] if bad in _RUN_MAXIMA else [])]))
+    top = ("seed", *cli.TOP_LEVEL_PARAMS)
+    return {"scenario": name, **{k: v for k, v in values.items() if k in top},
+            "params": {k: v for k, v in values.items() if k not in top}}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(run_documents())
+@example({"scenario": "abc-random-refresh", "chain_length": 2**1100})
+@example({"scenario": "rmcmc-gaussian", "chain_length": 1000, "replicates": 2**1100})
+def test_any_small_run_exits_with_a_documented_code(doc):
+    """A whole run of any generated config returns 0, 1, 2 or 3 and raises
+    nothing: a value that breaks the run inside it is a config error at load."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = cli.main(["run", path, "--out-dir", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3)

@@ -127,12 +127,13 @@ def test_doeblin_certificate_bounds_the_inverse_and_keeps_the_gate(kind, station
             A = Z.T if transposed else Z
             rhs = rng.normal(size=(n, 1))  # one column, as asvar_homogeneous passes
             norm = np.linalg.norm(np.linalg.inv(Z), 1)
-            bound = _doeblin_bound(M, u)
+            K = FiniteKernel(M)
+            bound = _doeblin_bound(n, K.doeblin_coefficient)
             certified = bound <= 0.5 / EIGENVALUE_ONE_TOL
             if certified:
                 assert norm <= bound, (n, delta)
             try:
-                x, gate = _fundamental_solve(M, u, rhs, transposed)
+                x, gate = _fundamental_solve(K, u, rhs, transposed)
                 accepted = True
             except ReducibleChainError:
                 accepted = False
@@ -169,7 +170,7 @@ def test_certified_gate_factorises_once(solves):
     Q, _ = random_reversible_kernel(np.random.default_rng(65), 64, pi)
     PQ = FiniteKernel(P.matrix @ Q.matrix)
     assert not detailed_balance_check(PQ, pi).holds
-    assert _doeblin_bound(PQ.matrix, np.full(64, 1.0 / 64)) <= 0.5 / EIGENVALUE_ONE_TOL
+    assert _doeblin_bound(64, PQ.doeblin_coefficient) <= 0.5 / EIGENVALUE_ONE_TOL
     assert solves(lambda: stationary_distribution(PQ)) == 1
     assert np.max(np.abs(stationary_distribution(PQ).weights - pi.weights)) <= 1e-12
     K = FiniteKernel([[1.0 - 2e-8, 2e-8], [2e-8, 1.0 - 2e-8]])
@@ -210,9 +211,8 @@ def test_kernel_record_matches_the_raw_array_path(monkeypatch):
     """A FiniteKernel's Doeblin coefficient is _doeblin_coefficient's, bit for
     bit, for u uniform and u = pi.  stationary_distribution and
     asvar_homogeneous, which read the record, return the values, exceptions
-    and gate records of the raw-array path: asvar_homogeneous_stack, and
-    stationary_distribution with the record recomputed from the matrix on
-    every read, as before the record existed."""
+    and gate records they return with the record recomputed from the matrix
+    on every read, as before the record existed."""
     def outcome(call):
         try:
             return call()
@@ -220,33 +220,31 @@ def test_kernel_record_matches_the_raw_array_path(monkeypatch):
             return type(exc)
 
     def runs(kernels):
-        laws, solvers = [], []
+        laws, reports, solvers = [], [], []
         for K, pi in kernels:
             f = FunctionVector(np.sin(np.arange(K.size)), K.space)
             laws.append(outcome(lambda: stationary_distribution(K).weights))
             report = outcome(lambda: asvar_homogeneous(K, pi, f))
-            raw = outcome(lambda: asvar_homogeneous_stack(K.matrix, pi.weights,
-                                                          f.values[None, :]))
             if isinstance(report, VarianceReport):
-                (value,), (var_f,), gate = raw
-                assert report.value == value
-                assert report.diagnostics == {"variance_of_f": var_f, **gate}
                 solvers.append(report.diagnostics["solver"])
+                report = (report.value, report.diagnostics)
             else:
-                assert report == ReducibleChainError and raw == report
-        return laws, solvers
+                assert report == ReducibleChainError
+            reports.append(report)
+        return laws, reports, solvers
 
     cases = list(record_kernels())
     for K, pi in cases:
         for u in (np.full(K.size, 1.0 / K.size), pi.weights):
             assert K.doeblin_coefficient == float(_doeblin_coefficient(K.matrix, u))
-    recorded, solvers = runs(cases)
+    recorded, reports, solvers = runs(cases)
     assert {"lu", "cg"} <= set(solvers)
     monkeypatch.setattr(FiniteKernel, "column_minima",
                         property(lambda K: K.matrix.min(axis=0)))
     monkeypatch.setattr(FiniteKernel, "doeblin_coefficient", property(
         lambda K: float(_doeblin_coefficient(K.matrix, np.full(K.size, 1.0 / K.size)))))
-    recomputed, _ = runs(cases)
+    recomputed, recomputed_reports, _ = runs(cases)
+    assert reports == recomputed_reports
     assert {a if isinstance(a, type) else type(a) for a in recorded} == {ReducibleKernelError,
                                                                          np.ndarray}
     for a, b in zip(recorded, recomputed):
@@ -259,7 +257,7 @@ def test_homogeneous_stack_matches_per_function_calls(n, k):
     rng = np.random.default_rng(100 * n + k)
     P, pi = random_reversible_kernel(rng, n)
     F = rng.normal(size=(k, n))
-    values, var_f, _ = asvar_homogeneous_stack(P.matrix, pi.weights, F)
+    values, var_f, _ = asvar_homogeneous_stack(P, pi, F)
     assert values.shape == var_f.shape == (k,)
     for j in range(k):
         report = asvar_homogeneous(P, pi, FunctionVector(F[j], P.space))
@@ -275,14 +273,14 @@ def test_homogeneous_stack_keeps_the_reducibility_gate(eps):
     P = np.eye(2) if eps is None else np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
     F = np.random.default_rng(7).normal(size=(5, 2))
     with pytest.raises(ReducibleChainError):
-        asvar_homogeneous_stack(P, np.array([0.5, 0.5]), F)
+        asvar_homogeneous_stack(FiniteKernel(P), ProbVector([0.5, 0.5]), F)
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-9])
 def test_homogeneous_stack_accepts_the_near_reducible_kernels_the_gate_admits(eps):
     P = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
     F = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
-    values = asvar_homogeneous_stack(P, np.array([0.5, 0.5]), F)[0]
+    values = asvar_homogeneous_stack(FiniteKernel(P), ProbVector([0.5, 0.5]), F)[0]
     # v = pi(fbar^2) (1 + lambda) / (1 - lambda) with lambda = 1 - 2 eps
     spread = (F[:, 1] - F[:, 0]) ** 2 / 4.0
     assert values == pytest.approx(spread * (1 - eps) / eps, rel=1e-6, abs=1e-300)
@@ -628,15 +626,16 @@ def test_homogeneous_report_names_its_gate():
         norm = np.linalg.norm(np.linalg.inv(Z), 1)
         figure = report.diagnostics["inverse_norm"]
         if gate == "doeblin":
-            assert figure == _doeblin_bound(K.matrix, law.weights) and norm <= figure
+            assert figure == _doeblin_bound(n, K.doeblin_coefficient) and norm <= figure
         else:
             assert figure == pytest.approx(norm, rel=1e-12, abs=0)
 
 
-def lu_values(P, pi, F):
+def lu_values(K, law, F):
     """asvar_homogeneous_stack's values by its LU route: one gated solve."""
+    pi = law.weights
     fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
-    g, _ = _fundamental_solve(P, pi, P @ fbar.T)
+    g, _ = _fundamental_solve(K, pi, K.matrix @ fbar.T)
     w = pi * fbar
     return np.maximum(np.sum(w * fbar, axis=-1) + 2.0 * np.sum(w * g.T, axis=-1), 0.0)
 
@@ -666,12 +665,12 @@ def test_conjugate_gradient_route_matches_lu(solves, n, k):
     P, pi = random_reversible_kernel(np.random.default_rng(10 * n + k), n)
     F = np.random.default_rng(k).normal(size=(k, n))
     out = {}
-    assert solves(lambda: out.update(r=asvar_homogeneous_stack(P.matrix, pi.weights, F))) == 0
+    assert solves(lambda: out.update(r=asvar_homogeneous_stack(P, pi, F))) == 0
     values, _, gate = out["r"]
-    reference = lu_values(P.matrix, pi.weights, F)
+    reference = lu_values(P, pi, F)
     assert gate["solver"] == "cg" and gate["error_bound"] <= CG_TARGET
     assert gate["gate"] == "doeblin"
-    assert gate["inverse_norm"] == _doeblin_bound(P.matrix, pi.weights)
+    assert gate["inverse_norm"] == _doeblin_bound(n, P.doeblin_coefficient)
     assert np.all(np.abs(values - reference) <= gate["error_bound"])
     assert np.all(np.abs(values - reference) <= 1e-12)
 
@@ -684,11 +683,11 @@ def test_conjugate_gradient_route_on_constant_functions():
     P, pi = random_reversible_kernel(np.random.default_rng(5), n)
     for F in (np.ones((1, n)), np.zeros((1, n)),
               np.vstack([np.full(n, 2.5), np.sin(np.arange(n)), np.zeros(n)])):
-        values, _, gate = asvar_homogeneous_stack(P.matrix, pi.weights, F)
+        values, _, gate = asvar_homogeneous_stack(P, pi, F)
         assert gate["solver"] == "cg"
         constant = np.ptp(F, axis=1) == 0.0
         assert np.all(values[constant] <= 1e-30) and np.all(values[~constant] > 0.1)
-        assert np.all(np.abs(values - lu_values(P.matrix, pi.weights, F)) <= 1e-12)
+        assert np.all(np.abs(values - lu_values(P, pi, F)) <= 1e-12)
 
 
 def ring_with_teleport(n):
@@ -720,12 +719,14 @@ def test_conjugate_gradient_falls_back_to_lu_bits(monkeypatch, case):
         M = P.matrix
     assert _self_adjoint_probe(M, pi) == (case != "product")
     F = np.random.default_rng(73).normal(size=(k, n))
-    values, _, gate = asvar_homogeneous_stack(M, pi, F)
-    assert gate == {"gate": "doeblin", "inverse_norm": _doeblin_bound(M, pi), "solver": "lu"}
-    assert np.array_equal(values, lu_values(M, pi, F))
+    K, law = FiniteKernel(M), ProbVector(pi)
+    values, _, gate = asvar_homogeneous_stack(K, law, F)
+    assert gate == {"gate": "doeblin", "inverse_norm": _doeblin_bound(n, K.doeblin_coefficient),
+                    "solver": "lu"}
+    assert np.array_equal(values, lu_values(K, law, F))
     if case == "slow":  # the cap, not the target, sent it to LU
         monkeypatch.setattr("varorder.variance.CG_MAX_ITERATIONS", 200)
-        assert asvar_homogeneous_stack(M, pi, F)[2]["solver"] == "cg"
+        assert asvar_homogeneous_stack(K, law, F)[2]["solver"] == "cg"
 
 
 def test_stack_member_without_invariant_pi_raises_value_error():
@@ -742,8 +743,10 @@ def test_nan_pi_is_not_invariant(engine):
     rng = np.random.default_rng(67)
     P, Q, pi, f = random_pair_arrays(rng, 3)
     pi = np.array([np.nan, *pi[1:]])
-    # ProbVector refuses NaN, so the certificate gets a bare holder of the weights
-    calls = {"homogeneous": lambda: asvar_homogeneous_stack(P, pi, f[None, :]),
+    # ProbVector refuses NaN, so the law is a bare holder of the weights
+    calls = {"homogeneous": lambda: asvar_homogeneous_stack(FiniteKernel(P),
+                                                            SimpleNamespace(weights=pi),
+                                                            f[None, :]),
              "alternating": lambda: asvar_alternating_stack(P, Q, pi, f),
              "certificate": lambda: fit_certificate(FiniteKernel(P), SimpleNamespace(weights=pi),
                                                     FunctionVector(np.ones(3)))}
