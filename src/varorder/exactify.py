@@ -194,8 +194,6 @@ def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel) -> FiniteKernel
     refreshment, noisy, marginal MH); this is a caller-asserted precondition
     that cannot be detected here.
     """
-    if K.kernel.space.size == m.Y.size:
-        return K.kernel  # already marginal
     ny, nu = m.Y.size, m.U.size
     J = K.kernel.matrix.reshape(ny, nu, ny, nu)
     KY = np.einsum("yu,yuzv->yz", m.r, J)

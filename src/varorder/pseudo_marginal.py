@@ -15,7 +15,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .samplers import (AugmentedTargetModel, CheckRefresh, MarginalProposal,
-                       ProposalS, ProposalT, Refresh, _gen)
+                       ProposalS, ProposalT, Refresh, RngStream)
 
 
 class ZeroWeightError(ValueError):
@@ -60,9 +60,10 @@ class ImportanceModel:
         return top + math.log(sum(math.exp(l - top) for l in logs)) - math.log(self.N)
 
 
-def gimh_estimate(m: ImportanceModel, y, rng) -> tuple[float, tuple]:
-    """Draw v_1..v_N ~ q_y and return (importance average, frozen sample)."""
-    vs = m.draws(_gen(rng), y)
+def gimh_estimate(m: ImportanceModel, y, rng: RngStream) -> tuple[float, tuple]:
+    """Draw v_1..v_N ~ q_y from rng.generator and return (importance average,
+    frozen sample)."""
+    vs = m.draws(rng.generator, y)
     return math.exp(m.log_estimate(y, vs)), vs
 
 

@@ -1,9 +1,10 @@
 """Steppers for the augmented-target family of MCMC algorithms.
 
 All acceptance ratios are computed in log domain and clamped at 0; ties at
-exactly zero log-ratio accept.  Steppers are pure given an explicit RNG
-stream, and acceptance outcomes of the last step ride on the returned state
-so that run_chain can aggregate them.
+exactly zero log-ratio accept.  Runners start from a named RngStream and
+read its generator once; steppers draw from the np.random.Generator they are
+given, so a stepper is pure given its generator.  Acceptance outcomes of the
+last step ride on the returned state so that run_chain can aggregate them.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ class RngStream:
         self.generator = np.random.Generator(np.random.PCG64(seq))
 
 
-def _gen(rng) -> np.random.Generator:
-    return rng.generator if isinstance(rng, RngStream) else rng
-
-
 class BlockDraws:
-    """Block-draw view of a Generator (``BlockDraws(_gen(stream))``).
+    """Block-draw view of a Generator (``BlockDraws(stream.generator)``).
 
     Scalar ``standard_normal()`` calls are served from pre-drawn blocks of
     BLOCK normals, refilled from the wrapped generator when one runs out, so
@@ -57,20 +54,20 @@ class BlockDraws:
     BLOCK = 4096
 
     def __init__(self, gen: np.random.Generator):
-        self._gen = gen
+        self._generator = gen
         self._normals = iter(())
 
     def standard_normal(self, size=None, dtype=np.float64, out=None):
         if size is not None or dtype is not np.float64 or out is not None:
-            return self._gen.standard_normal(size, dtype, out)
+            return self._generator.standard_normal(size, dtype, out)
         try:
             return next(self._normals)
         except StopIteration:
-            self._normals = iter(self._gen.standard_normal(self.BLOCK).tolist())
+            self._normals = iter(self._generator.standard_normal(self.BLOCK).tolist())
             return next(self._normals)
 
     def __getattr__(self, name):
-        return getattr(self._gen, name)
+        return getattr(self._generator, name)
 
 
 def choice_cdf(p) -> list:
@@ -193,26 +190,28 @@ def _freeze_move(m: AugmentedTargetModel, y, u, gen) -> tuple:
     return y, u, False
 
 
-def freeze_step(m: AugmentedTargetModel, state: ChainState, rng) -> ChainState:
+def freeze_step(m: AugmentedTargetModel, state: ChainState,
+                gen: np.random.Generator) -> ChainState:
     """Freeze scheme: the auxiliary variable is carried ("frozen") across steps."""
     if state.u is None:
         raise ValueError("freeze step requires an auxiliary component in the state")
-    y, u, ok = _freeze_move(m, state.y, state.u, _gen(rng))
+    y, u, ok = _freeze_move(m, state.y, state.u, gen)
     return ChainState(y=y, u=u, accepts={"move": ok})
 
 
-def systematic_refresh_step(m: AugmentedTargetModel, state: ChainState, rng) -> ChainState:
+def systematic_refresh_step(m: AugmentedTargetModel, state: ChainState,
+                            gen: np.random.Generator) -> ChainState:
     """Systematic refreshment: redraw u ~ R(y, .) every step; the Markov state
     is y alone."""
     if m.refresh is None:
         raise ValueError("R not sampleable: only (rcheck, w) is configured")
-    gen = _gen(rng)
     u = m.refresh.sample(gen, state.y)
     y, _, ok = _freeze_move(m, state.y, u, gen)
     return ChainState(y=y, u=None, accepts={"move": ok})
 
 
-def random_refresh_step(m: AugmentedTargetModel, state: ChainState, rng) -> ChainState:
+def random_refresh_step(m: AugmentedTargetModel, state: ChainState,
+                        gen: np.random.Generator) -> ChainState:
     """Random refreshment: refresh u through rcheck with the weight-ratio acceptance,
     then do a freeze move from (y, u_check).
 
@@ -223,7 +222,6 @@ def random_refresh_step(m: AugmentedTargetModel, state: ChainState, rng) -> Chai
         raise ValueError("random refreshment requires the (rcheck, w) form")
     if state.u is None:
         raise ValueError("random refresh step requires an auxiliary component")
-    gen = _gen(rng)
     y, u = state.y, state.u
     u_new = m.check_refresh.sample(gen, y)
     log_rho = (m.check_refresh.log_weight(y, u_new)
@@ -234,22 +232,21 @@ def random_refresh_step(m: AugmentedTargetModel, state: ChainState, rng) -> Chai
     return ChainState(y=y2, u=u2, accepts={"refresh": refreshed, "move": ok})
 
 
-def noisy_step(m: AugmentedTargetModel, state: ChainState, rng) -> ChainState:
+def noisy_step(m: AugmentedTargetModel, state: ChainState,
+               gen: np.random.Generator) -> ChainState:
     """The noisy (MCWM-style) variant: refresh through rcheck unconditionally,
     then accept with the weight-corrected freeze ratio.  Generally not
     pi_star-reversible."""
     if m.check_refresh is None:
         raise ValueError("the noisy step requires the (rcheck, w) form")
-    gen = _gen(rng)
     u = m.check_refresh.sample(gen, state.y)
     y, _, ok = _freeze_move(m, state.y, u, gen)
     return ChainState(y=y, u=None, accepts={"move": ok})
 
 
 def marginal_mh_step(k: MarginalProposal, log_pi_star: Callable[[Any], float],
-                     state: ChainState, rng) -> ChainState:
+                     state: ChainState, gen: np.random.Generator) -> ChainState:
     """Classical MH on Y with the marginalized proposal density k."""
-    gen = _gen(rng)
     y = state.y
     yh = k.sample(gen, y)
     log_ratio = (_checked("pi_star(yhat)", log_pi_star(yh))
@@ -260,15 +257,18 @@ def marginal_mh_step(k: MarginalProposal, log_pi_star: Callable[[Any], float],
     return ChainState(y=yh if ok else y, accepts={"move": ok})
 
 
-def run_chain(stepper, m, initial: ChainState, n: int, rng) -> ChainTrace:
-    """Run n steps; trace length is n + 1 and is deterministic given rng."""
+def run_chain(stepper, m, initial: ChainState, n: int, rng: RngStream) -> ChainTrace:
+    """Run n steps of stepper(m, state, gen), gen being rng.generator; the
+    trace has length n + 1 and replays bit-exactly from the same stream.
+    Draws made from rng.generator before the call are part of that stream."""
     if n < 0:
         raise ValueError("step count must be nonnegative")
+    gen = rng.generator
     counts: dict = {}
     states = [initial]
     state = initial
     for _ in range(n):
-        state = stepper(m, state, rng)
+        state = stepper(m, state, gen)
         for kind, ok in state.accepts.items():
             acc, tot = counts.get(kind, (0, 0))
             counts[kind] = (acc + int(ok), tot + 1)

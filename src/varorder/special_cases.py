@@ -13,7 +13,7 @@ import numpy as np
 
 from .exactify import FiniteAugmentedModel
 from .kernels import FiniteKernel, StateSpace
-from .samplers import BlockDraws, DensityError, _gen, choice_cdf
+from .samplers import BlockDraws, DensityError, RngStream, choice_cdf
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,9 @@ def rmcmc_log_ratio(m: RmcmcModel, y, u, yh) -> float:
     return val
 
 
-def rmcmc_step(m: RmcmcModel, y, rng) -> Any:
+def rmcmc_step(m: RmcmcModel, y, gen: np.random.Generator) -> Any:
     """One r-MCMC transition: draw yhat ~ rcheck(y,.), u ~ scheck(y,yhat;.),
     accept yhat with the involution-corrected ratio."""
-    gen = _gen(rng)
     yh = m.rcheck_sample(gen, y)
     u = m.scheck_sample(gen, y, yh)
     log_alpha = rmcmc_log_ratio(m, y, u, yh)
@@ -54,7 +53,7 @@ def rmcmc_step(m: RmcmcModel, y, rng) -> Any:
     return y
 
 
-def rmcmc_chain(m: RmcmcModel, y0, n: int, rng) -> tuple[np.ndarray, int]:
+def rmcmc_chain(m: RmcmcModel, y0, n: int, rng: RngStream) -> tuple[np.ndarray, int]:
     """n r-MCMC transitions from y0; returns the path y_1..y_n and the number
     of accepted moves.
 
@@ -63,7 +62,7 @@ def rmcmc_chain(m: RmcmcModel, y0, n: int, rng) -> tuple[np.ndarray, int]:
     move is accepted iff log U < rmcmc_log_ratio, which is rmcmc_step's test
     (log U < 0 always), so the chain has rmcmc_step's law but its own stream.
     """
-    gen = _gen(rng)
+    gen = rng.generator
     log_u = np.log(gen.random(n)).tolist()
     draws = BlockDraws(gen)
     y, path, accepted = y0, [], 0
@@ -126,9 +125,8 @@ def gmtm_select(weights: Sequence[float], gen: np.random.Generator) -> int:
     return bisect_right(choice_cdf(p), gen.random())
 
 
-def gmtm_step(m: GmtmModel, y, rng) -> Any:
+def gmtm_step(m: GmtmModel, y, gen: np.random.Generator) -> Any:
     """One GMTM transition (Algorithm with n tries and shadow candidates)."""
-    gen = _gen(rng)
     vs = [m.rcheck_sample(gen, y) for _ in range(m.n)]
     j = gmtm_select([m.omega(y, v) for v in vs], gen)
     yh = vs[j]

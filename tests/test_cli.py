@@ -276,7 +276,7 @@ def test_top_level_params_are_parsed_and_recorded_as_params(tmp_path, capsys):
     assert meta["params"] == cfg.params
 
 
-@pytest.mark.parametrize("replicates, z", [(1, "4.75"), (4, "5.03")])
+@pytest.mark.parametrize("replicates, z", [(1, "4.66"), (4, "5.00")])
 def test_rmcmc_mean_check_is_sized_to_a_family_wise_rate(tmp_path, replicates, z):
     """Bonferroni over the replicates at the recorded rate; seed 637586919 has
     z = 4.40 at 10 000 steps, a false alarm of the former fixed 4-se check."""
@@ -289,6 +289,15 @@ def test_rmcmc_mean_check_is_sized_to_a_family_wise_rate(tmp_path, replicates, z
         f"replicate {rep} mean within {z} se of 0" for rep in range(replicates)]
     assert all(f"family-wise alpha {cli.RMCMC_ALPHA}" in a["detail"]
                for a in report["assertions"])
+
+
+@pytest.mark.parametrize("replicates", [1, 2, 4, 37, 1000, cli.MAX_COUNT])
+def test_mean_check_threshold_is_the_student_t_quantile(replicates):
+    """The check's z is t_99's quantile at the Bonferroni level, within 2e-6
+    relative of scipy's, for 1 to MAX_COUNT replicates."""
+    stats = pytest.importorskip("scipy.stats")
+    p = cli.RMCMC_ALPHA / (2 * replicates)
+    assert cli._t_quantile(p, 99) == pytest.approx(stats.t.ppf(p, 99), rel=2e-6)
 
 
 def test_non_finite_report_value_is_a_model_error_that_writes_nothing(tmp_path, capsys,

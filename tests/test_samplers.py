@@ -60,8 +60,7 @@ def test_rng_streams_differ_across_algorithm_and_index():
     assert not np.array_equal(base, shifted)
 
 
-def test_replicate_advances_stream():
-    r = RngStream("freeze", seed=9)
+def test_negative_stream_index_is_refused():
     with pytest.raises(ValueError):
         RngStream("freeze", seed=9, stream=-1)
 
@@ -138,31 +137,31 @@ def test_density_error_names_the_factor():
 def test_freeze_step_requires_auxiliary():
     model = tabular_model(toys.registry_toy())
     with pytest.raises(ValueError):
-        freeze_step(model, ChainState(y="a"), RngStream("freeze", 0))
+        freeze_step(model, ChainState(y="a"), RngStream("freeze", 0).generator)
 
 
 def test_systematic_step_requires_sampleable_refresh():
     model = tabular_model(toys.registry_toy(), factorized=True)
     with pytest.raises(ValueError, match="not sampleable"):
-        systematic_refresh_step(model, ChainState(y="a"), RngStream("sys", 0))
+        systematic_refresh_step(model, ChainState(y="a"), RngStream("sys", 0).generator)
 
 
 def test_random_refresh_commits_refreshed_auxiliary():
     """Even a rejected move keeps the refreshed u (step (i) is its own MH)."""
     m = toys.registry_toy()
     model = tabular_model(m, factorized=True)
-    rng = RngStream("random_refresh", seed=2)
+    gen = RngStream("random_refresh", seed=2).generator
     seen_refresh_kinds = set()
     state = ChainState(y="a", u=0)
     for _ in range(200):
-        state = random_refresh_step(model, state, rng)
+        state = random_refresh_step(model, state, gen)
         seen_refresh_kinds.add((state.accepts["refresh"], state.accepts["move"]))
     assert (True, False) in seen_refresh_kinds  # refreshed, then move rejected
 
 
 def test_noisy_step_runs_and_drops_auxiliary():
     model = tabular_model(toys.registry_toy(), factorized=True)
-    out = noisy_step(model, ChainState(y="a"), RngStream("noisy", 3))
+    out = noisy_step(model, ChainState(y="a"), RngStream("noisy", 3).generator)
     assert out.u is None
     assert set(out.accepts) == {"move"}
 

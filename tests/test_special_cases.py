@@ -83,7 +83,7 @@ def test_rmcmc_chain_has_the_gaussian_law():
 def test_rmcmc_chain_replays_for_a_fixed_seed():
     m = gaussian_rmcmc_model(step=0.7)
     first = rmcmc_chain(m, 0.5, 5000, RngStream("rmcmc", seed=8))
-    again = rmcmc_chain(m, 0.5, 5000, RngStream("rmcmc", seed=8).generator)
+    again = rmcmc_chain(m, 0.5, 5000, RngStream("rmcmc", seed=8))
     other = rmcmc_chain(m, 0.5, 5000, RngStream("rmcmc", seed=9))
     assert np.array_equal(first[0], again[0]) and first[1] == again[1]
     assert not np.array_equal(first[0], other[0])
@@ -172,11 +172,13 @@ def _random_gmtm(seed: int, n: int) -> GmtmModel:
                          ids=[f"toy-{n}-tries" for n in (1, 2, 3, 4)]
                          + [f"random-{1 + seed}-tries" for seed in range(3)])
 def test_embedding_matches_direct_kernel(m):
-    """One try leaves u the empty candidate tuple."""
+    """One try leaves u the empty candidate tuple, so the joint space has as
+    many states as Y; the marginal kernel is still labelled by Y."""
     emb = gmtm_embedding_model(m)
     emb_y = exactify.marginal_kernel(exactify.extract_kernel("systematic", emb),
                                      emb)
     direct = gmtm_exact_kernel(m)
+    assert emb_y.space == direct.space
     assert np.max(np.abs(emb_y.matrix - direct.matrix)) < 1e-12
 
 

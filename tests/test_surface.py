@@ -102,3 +102,13 @@ def test_no_module_of_the_package_calls_generator_choice():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "choice"]
     assert calls == []
+
+
+def test_no_module_of_the_package_calls_isinstance_with_rng_stream():
+    """Runners take an RngStream and steppers its Generator, so no code path
+    asks which of the two it was given; prose that names isinstance is no call."""
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "isinstance" and "RngStream" in ast.unparse(node)]
+    assert calls == []
