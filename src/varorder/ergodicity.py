@@ -18,6 +18,8 @@ import numpy as np
 from .kernels import FiniteKernel, FunctionVector, ProbVector
 from .variance import SPECTRAL_MARGIN, alternating_autocov, check_invariant, l2_norm
 
+SLACK_TOL = 1e-12  # a covariance may exceed its bound by this much
+
 
 class GeometricFitError(ValueError):
     """No geometric decay: the L2(pi) norm of P - Pi is (close to) 1."""
@@ -77,7 +79,8 @@ class SummabilityReport:
     f_vhalf_norm: float
     pf_vhalf_norm: float
     scale: float
-    min_bound_slack: float  # min over lags of (bound - |cov|); >= 0 when holds
+    min_bound_slack: float  # min over lags of (bound - |cov|); >= -SLACK_TOL when holds
+    min_relative_slack: dict  # min of 1 - |cov| / bound: {"value", "lag", "parity"}
     holds: bool
 
     def to_document(self) -> dict:
@@ -86,6 +89,7 @@ class SummabilityReport:
                 "pf_vhalf_norm": self.pf_vhalf_norm,
                 "scale": self.scale,
                 "min_bound_slack": self.min_bound_slack,
+                "min_relative_slack": self.min_relative_slack,
                 "holds": self.holds}
 
 
@@ -98,6 +102,8 @@ def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
     The bounds are stated for centered f with |f|_{V^{1/2}} <= 1 and
     |Pf|_{V^{1/2}} <= 1; general f is rescaled and the scale reported.  Lag
     l >= 1 from start parity p meets bound (l - p) // 2, up to l = 2 n_horizon + 1 - p.
+    The relative slack is taken over the lags whose bound exceeds SLACK_TOL,
+    lag 1 among them; below it the absolute slack decides.
     """
     if n_horizon < 0:
         raise ValueError(f"n_horizon must be >= 0, got {n_horizon}")
@@ -113,9 +119,14 @@ def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
     last = 2 * n_horizon + 1
     cov = alternating_autocov(P.matrix, Q.matrix, pi.weights, g, last + 1)[1:]
     lag, parity = np.arange(1, last + 1)[:, None], np.arange(2)
-    gaps = bound[(lag - parity) // 2] - np.abs(cov)
-    slack = np.min(gaps, where=lag <= last - parity, initial=np.inf)
+    met, within = bound[(lag - parity) // 2], lag <= last - parity
+    slack = np.min(met - np.abs(cov), where=within, initial=np.inf)
+    ratio = np.divide(np.abs(cov), met, out=np.full(cov.shape, -np.inf),
+                      where=within & (met > SLACK_TOL))
+    at = np.unravel_index(np.argmax(ratio), ratio.shape)
     return SummabilityReport(certificate=cert, f_vhalf_norm=f_norm,
                              pf_vhalf_norm=pf_norm, scale=scale,
                              min_bound_slack=float(slack),
-                             holds=bool(slack >= -1e-12))
+                             min_relative_slack={"value": 1.0 - float(ratio[at]),
+                                                 "lag": int(at[0]) + 1, "parity": int(at[1])},
+                             holds=bool(slack >= -SLACK_TOL))

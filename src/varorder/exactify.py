@@ -16,8 +16,7 @@ import numpy as np
 
 from .kernels import (ENTRY_TOL, FiniteKernel, ProbVector, StateSpace,
                       _mh_acceptance, check_stochastic)
-from .variance import (EIGENVALUE_ONE_TOL, _doeblin_bound, _fundamental_solve,
-                       check_invariant)
+from .variance import _doeblin_gate, _fundamental_solve, check_invariant
 
 MAX_JOINT_STATES = 256
 
@@ -201,9 +200,9 @@ def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel) -> FiniteKernel
 
 
 def stationary_distribution(K: FiniteKernel) -> ProbVector:
-    """Unique pi with pi K = pi, by one of two routes (eps and c from K.column_minima).
+    """Unique pi with pi K = pi, by one of two routes (eps is K's Doeblin coefficient).
 
-    Ratio route, for kernels the Doeblin gate certifies (below).  A
+    Ratio route, for kernels variance._doeblin_gate certifies.  A
     pi-reversible K has pi(y) K(y, c) = pi(c) K(c, y), so the candidate is
     x(y) proportional to K(c, y) / K(y, c), O(n^2) with the check; c is the
     column with the largest minimum, so K(., c) >= eps / n > 0.  With
@@ -225,8 +224,8 @@ def stationary_distribution(K: FiniteKernel) -> ProbVector:
     """
     M, n, eps = K.matrix, K.size, K.doeblin_coefficient
     u = np.full(n, 1.0 / n)
-    if _doeblin_bound(n, eps) <= 0.5 / EIGENVALUE_ONE_TOL:
-        c = int(np.argmax(K.column_minima))
+    if _doeblin_gate(K)[1]:
+        c = int(np.argmax(M.min(axis=0)))
         x = np.maximum(M[c] / M[:, c], 0.0)
         x = x / x.sum()
         if np.sum(np.abs(x @ M - x)) * (2.0 - eps) / eps <= ENTRY_TOL:

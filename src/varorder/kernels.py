@@ -121,14 +121,18 @@ class FiniteKernel:
         return self.space.size
 
     @cached_property
-    def column_minima(self) -> np.ndarray:
-        """min_x K(x, y) for each y, computed once (matrix is a read-only copy)."""
-        return _frozen_array(self.matrix.min(axis=0))
-
-    @property
     def doeblin_coefficient(self) -> float:
-        """max(sum_y min_x K(x, y), 0): variance._doeblin_coefficient's bits, any law u."""
-        return float(np.maximum(self.column_minima.sum(), 0.0))
+        """_doeblin_coefficient of the matrix, computed once (matrix is a read-only copy)."""
+        return float(_doeblin_coefficient(self.matrix))
+
+
+def _doeblin_coefficient(M: np.ndarray) -> np.ndarray:
+    """eps = sum_y min_x M(x, y), the Doeblin coefficient of kernels M
+    (..., n, n); 0 where eps < 0 or M is not stochastic within ENTRY_TOL.  O(n^2)."""
+    column_min = M.min(axis=-2)
+    stochastic = ((column_min.min(axis=-1) >= -ENTRY_TOL)
+                  & (np.max(np.abs(M.sum(axis=-1) - 1.0), axis=-1) <= ENTRY_TOL))
+    return np.where(stochastic, np.maximum(column_min.sum(axis=-1), 0.0), 0.0)
 
 
 def check_stochastic(arr: np.ndarray) -> np.ndarray:
@@ -158,11 +162,14 @@ def constant_kernel(pi: ProbVector) -> FiniteKernel:
 class OrderingCertificate:
     """Outcome of an ordering/detailed-balance check.
 
-    witness is present exactly when the check fails: either the offending
-    eigenvalue, or a (i, j, margin) triple locating the worst entry.
+    value is the figure compared with the tolerance: the largest entry gap, or
+    the smallest eigenvalue.  witness is present exactly when the check fails:
+    either the offending eigenvalue, or a (i, j, margin) triple locating the
+    worst entry.
     """
 
     holds: bool
+    value: float
     witness: Any = None
 
     def __post_init__(self):
@@ -200,10 +207,7 @@ def detailed_balance_check(P: FiniteKernel, pi: ProbVector,
         raise ValueError("pi must be strictly positive on all states")
     flow = pi.weights[:, None] * P.matrix
     gap = np.abs(flow - flow.T)
-    i, j = np.unravel_index(np.argmax(gap), gap.shape)
-    if gap[i, j] <= tol:
-        return OrderingCertificate(holds=True)
-    return OrderingCertificate(holds=False, witness=(int(i), int(j), float(gap[i, j])))
+    return _worst_entry(gap, tol)
 
 
 def covariance_order_check(P0: FiniteKernel, P1: FiniteKernel, pi: ProbVector,
@@ -221,9 +225,16 @@ def covariance_order_check(P0: FiniteKernel, P1: FiniteKernel, pi: ProbVector,
     D = pi.weights[:, None] * (P0.matrix - P1.matrix)
     D = (D + D.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(D)[0])
-    if lam_min >= -tol:
-        return OrderingCertificate(holds=True)
-    return OrderingCertificate(holds=False, witness=lam_min)
+    holds = lam_min >= -tol
+    return OrderingCertificate(holds=holds, value=lam_min, witness=None if holds else lam_min)
+
+
+def _worst_entry(gap: np.ndarray, tol: float) -> OrderingCertificate:
+    """Holds when every entry of gap is at most tol; else the worst (i, j, gap) is the witness."""
+    i, j = np.unravel_index(np.argmax(gap), gap.shape)
+    worst = float(gap[i, j])
+    return OrderingCertificate(holds=worst <= tol, value=worst,
+                               witness=None if worst <= tol else (int(i), int(j), worst))
 
 
 def off_diagonal_order_check(P0: FiniteKernel, P1: FiniteKernel,
@@ -232,10 +243,7 @@ def off_diagonal_order_check(P0: FiniteKernel, P1: FiniteKernel,
     _require_same_space(P0, P1)
     gap = P0.matrix - P1.matrix  # positive entries off-diagonal violate the order
     np.fill_diagonal(gap, -np.inf)
-    i, j = np.unravel_index(np.argmax(gap), gap.shape)
-    if gap[i, j] <= tol:
-        return OrderingCertificate(holds=True)
-    return OrderingCertificate(holds=False, witness=(int(i), int(j), float(gap[i, j])))
+    return _worst_entry(gap, tol)
 
 
 def _mh_acceptance(flow: np.ndarray) -> np.ndarray:

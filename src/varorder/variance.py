@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import (ENTRY_TOL, FiniteKernel, FunctionVector, ProbVector,
-                      _require_same_space)
+                      _doeblin_coefficient, _require_same_space)
 
 INVARIANCE_TOL = 1e-12
 EIGENVALUE_ONE_TOL = 1e-9
@@ -90,21 +90,12 @@ def _centered(f: FunctionVector, pi: ProbVector) -> np.ndarray:
     return f.values - float(np.sum(pi.weights * f.values))
 
 
-def _doeblin_coefficient(M: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """eps = sum_y min_x M(x, y), the Doeblin coefficient of kernels M
-    (..., n, n), for laws u (..., n) with broadcastable stacks; 0 where eps < 0,
-    M is not stochastic or u is not a law, both within ENTRY_TOL.  O(n^2)."""
-    column_min = M.min(axis=-2)
-    stochastic = ((column_min.min(axis=-1) >= -ENTRY_TOL) & (u.min(axis=-1) >= 0.0)
-                  & (np.max(np.abs(M.sum(axis=-1) - 1.0), axis=-1) <= ENTRY_TOL)
-                  & (np.abs(u.sum(axis=-1) - 1.0) <= ENTRY_TOL))
-    return np.where(stochastic, np.maximum(column_min.sum(axis=-1), 0.0), 0.0)
-
-
-def _doeblin_bound(n: int, eps: float) -> float:
-    """B = 3 n (2 - eps) / eps >= ||Z^{-1}||_1 for Z = I - M + 1 u^T, M a
-    stochastic kernel on n states with Doeblin coefficient eps and u a law;
-    inf when eps = 0.
+def _doeblin_gate(K: FiniteKernel) -> tuple[float, bool]:
+    """(B, certified): B = 3 n (2 - eps) / eps >= ||Z^{-1}||_1 for
+    Z = I - M + 1 u^T, M = K.matrix on n states with Doeblin coefficient eps
+    and u a law (inf when eps = 0); B certifies Z when
+    B <= 1 / (2 EIGENVALUE_ONE_TOL) (the factor 1/2 is slack for rows summing
+    to 1 only within ENTRY_TOL).
 
     ||M^t(x, .) - pi||_1 <= 2 (1 - eps)^t bounds ||Z_pi^{-1}||_inf by
     (2 - eps) / eps for Z_pi^{-1} = I + sum_{t>=1} (M^t - 1 pi^T); since
@@ -112,7 +103,9 @@ def _doeblin_bound(n: int, eps: float) -> float:
     Z^{-1} = (I - 1 (u - pi)^T) Z_pi^{-1}, whose first factor has
     ||.||_inf <= 3; and ||.||_1 <= n ||.||_inf.
     """
-    return 3.0 * n * (2.0 - eps) / eps if eps > 0.0 else float("inf")
+    eps = K.doeblin_coefficient
+    bound = 3.0 * K.size * (2.0 - eps) / eps if eps > 0.0 else float("inf")
+    return bound, bound <= 0.5 / EIGENVALUE_ONE_TOL
 
 
 def _fundamental_solve(K: FiniteKernel, u: np.ndarray, rhs: np.ndarray,
@@ -125,19 +118,17 @@ def _fundamental_solve(K: FiniteKernel, u: np.ndarray, rhs: np.ndarray,
     For u summing to 1, Z is singular exactly when the eigenvalue 1 of the
     stochastic M is not simple.  ReducibleChainError when LAPACK finds Z
     singular, x is not finite, or ||Z^{-1}||_1 exceeds 1 / EIGENVALUE_ONE_TOL.
-    The Doeblin bound B = 3 n (2 - eps) / eps of _doeblin_bound, eps off K's
-    record, decides when B <= 1 / (2 EIGENVALUE_ONE_TOL) (the factor 1/2 is
-    slack for rows summing to 1 only within ENTRY_TOL).  Otherwise (a zero
-    column minimum, a near-reducible M) the identity rides along with rhs and
-    the norm is read off the inverse: its largest column sum, or row sum when
-    transposed.  One factorisation on either path; the n extra columns cost
-    about 3-4 LUs (a sparse ring at 256-2048 states).
+    The Doeblin bound B = 3 n (2 - eps) / eps decides where _doeblin_gate
+    certifies it.  Otherwise (a zero column minimum, a near-reducible M) the
+    identity rides along with rhs and the norm is read off the inverse: its
+    largest column sum, or row sum when transposed.  One factorisation on
+    either path; the n extra columns cost about 3-4 LUs (a sparse ring at
+    256-2048 states).
     """
     M, n = K.matrix, K.size
     Z = u - M
     Z[np.arange(n), np.arange(n)] += 1.0
-    bound = _doeblin_bound(n, K.doeblin_coefficient)
-    certified = bound <= 0.5 / EIGENVALUE_ONE_TOL
+    bound, certified = _doeblin_gate(K)
     try:
         x = np.linalg.solve(Z.T if transposed else Z,
                             rhs if certified else np.column_stack([rhs, np.eye(n)]))
@@ -177,7 +168,7 @@ def _conjugate_gradient(P: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
     1952).  Certificate: with the explicit residual r_i = rhs_i - Z g_i,
     g_i - Z^{-1} rhs_i = -Z^{-1} r_i, so |2 <fbar_i, g_i - Z^{-1} rhs_i>_pi|
     <= 2 ||pi fbar_i||_1 C ||r_i||_inf with C = 3 (2 - eps) / eps
-    >= ||Z^{-1}||_inf (see _doeblin_bound); g is returned once that bound is at
+    >= ||Z^{-1}||_inf (see _doeblin_gate); g is returned once that bound is at
     most CG_TARGET for every function.  It holds for any stochastic P, so
     reversibility only decides whether CG is worth trying.  As for the
     stationary law, r is the computed residual, whose own rounding is outside
@@ -256,9 +247,8 @@ def asvar_homogeneous_stack(K: FiniteKernel, law: ProbVector,
     fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
     rhs = P @ fbar.T
     n, k = rhs.shape
-    solved = None
-    if (n >= CG_MIN_STATES and k * CG_STATES_PER_FUNCTION <= n
-            and (bound := _doeblin_bound(n, eps)) <= 0.5 / EIGENVALUE_ONE_TOL
+    solved, (bound, certified) = None, _doeblin_gate(K)
+    if (certified and n >= CG_MIN_STATES and k * CG_STATES_PER_FUNCTION <= n
             and pi.min() > 0.0 and _self_adjoint_probe(P, pi)):
         solved = _conjugate_gradient(P, pi, rhs, fbar, eps)
     if solved is None:
@@ -315,7 +305,8 @@ def asvar_alternating_stack(P, Q, pi, f) -> tuple[np.ndarray, np.ndarray, np.nda
         check_invariant(pi, K, name)
     PQ = P @ Q
     pis = np.broadcast_to(pi, PQ.shape[:-1])
-    eps = _doeblin_coefficient(PQ, pis)
+    law = (pis.min(axis=-1) >= 0.0) & (np.abs(pis.sum(axis=-1) - 1.0) <= ENTRY_TOL)
+    eps = np.where(law, _doeblin_coefficient(PQ), 0.0)
     certified = eps >= 2.0 * SPECTRAL_MARGIN + 2.0 * PQ.shape[-1] * ENTRY_TOL
     bound, open_ = np.where(certified, 1.0 - eps, 0.0), ~certified
     if np.any(open_):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,7 +118,8 @@ def test_run_writes_all_outputs_and_is_deterministic(tmp_path):
     assert all(r[0] == "remark14" for r in rows[1:])
     report = json.loads(Path(os.path.join(out1, "report.json")).read_text())
     assert report["all_hold"] is True
-    assert all("assertion" in a and "detail" in a for a in report["assertions"])
+    assert all(list(a) == ["assertion", "holds", "called", "value", "relation", "limit",
+                           "tol", "margin"] for a in report["assertions"])
     meta = json.loads(Path(os.path.join(out1, "metadata.json")).read_text())
     assert meta["seed"] == 5
     assert set(meta) == {"scenario", "seed", "rng", "params", "tolerances", "elapsed_seconds"}
@@ -154,7 +156,7 @@ def test_replicates_with_equal_seeds_give_identical_rows(tmp_path):
 def test_assertion_failure_exits_3(tmp_path, monkeypatch):
     def failing_runner(cfg):
         res = cli.ScenarioResult()
-        res.check("always false", False, "forced for the exit-code contract")
+        res.check("always false", "variance.asvar_homogeneous", 1.0, "<", 1.0)
         return res
 
     monkeypatch.setitem(cli._REGISTRY, "remark14",
@@ -287,8 +289,9 @@ def test_rmcmc_mean_check_is_sized_to_a_family_wise_rate(tmp_path, replicates, z
     report = json.loads(Path(os.path.join(out, "report.json")).read_text())
     assert [a["assertion"] for a in report["assertions"]] == [
         f"replicate {rep} mean within {z} se of 0" for rep in range(replicates)]
-    assert all(f"family-wise alpha {cli.RMCMC_ALPHA}" in a["detail"]
-               for a in report["assertions"])
+    assert report["family_wise_alpha"] == cli.RMCMC_ALPHA
+    assert all(a["called"] == "special_cases.rmcmc_chain" and a["relation"] == "=="
+               and a["limit"] == 0.0 and a["tol"] > 0.0 for a in report["assertions"])
 
 
 @pytest.mark.parametrize("replicates", [1, 2, 4, 37, 1000, cli.MAX_COUNT])
@@ -305,7 +308,7 @@ def test_non_finite_report_value_is_a_model_error_that_writes_nothing(tmp_path, 
     """JSON has no NaN; the run exits 2 before it opens any output file."""
     def nan_runner(cfg):
         res = cli.ScenarioResult()
-        res.check("holds", True, "stub")
+        res.check("holds", "variance.asvar_homogeneous", 0.0, "<=", 0.0)
         res.report["gap"] = float("nan")
         return res
 
@@ -444,10 +447,9 @@ def test_remark14_report_names_the_function_it_called(tmp_path, monkeypatch):
     assert cli.main(["run", cfg, "--out-dir", out]) == 0
     assert called
     report = json.loads(Path(os.path.join(out, "report.json")).read_text())
-    named = [a["detail"].split("(")[0] for a in report["assertions"]
-             if a["detail"].startswith("variance.")]
-    assert len(named) == 2 * len(cli._REGISTRY["remark14"].defaults["epsilons"])
-    assert set(named) == {"variance.asvar_homogeneous"}
+    named = [a["called"] for a in report["assertions"]]
+    assert named == ["variance.asvar_homogeneous"] * 3 * len(
+        cli._REGISTRY["remark14"].defaults["epsilons"])
 
 
 def test_metadata_tolerances_are_the_module_constants(tmp_path):
@@ -532,6 +534,58 @@ def test_run_that_checks_no_assertion_fails(tmp_path, monkeypatch):
                      "--out-dir", out]) == 3
     report = json.loads(Path(os.path.join(out, "report.json")).read_text())
     assert report["assertions"] == [] and report["all_hold"] is False
+
+
+@pytest.mark.parametrize("relation, value, limit, tol, margin, holds", [
+    ("<=", 1.0, 1.0, 0.0, 0.0, True), ("<", 1.0, 1.0, 0.0, 0.0, False),
+    ("<=", 1.5, 1.0, 0.25, -0.25, False), (">=", 0.75, 1.0, 0.25, 0.0, True),
+    (">", 0.75, 1.0, 0.25, 0.0, False), (">", 2.0, 1.0, 0.0, 1.0, True),
+    ("==", 1.25, 1.0, 0.5, 0.25, True), ("==", 0.25, 1.0, 0.5, -0.25, False)])
+def test_check_computes_margin_and_holds(relation, value, limit, tol, margin, holds):
+    res = cli.ScenarioResult()
+    res.check("label", "variance.asvar_homogeneous", value, relation, limit, tol)
+    assert res.assertions == [{"assertion": "label", "holds": holds,
+                               "called": "variance.asvar_homogeneous", "value": value,
+                               "relation": relation, "limit": limit, "tol": tol,
+                               "margin": margin}]
+
+
+def test_check_records_a_certificate_and_its_witness():
+    res = cli.ScenarioResult()
+    pi = kernels.ProbVector([0.5, 0.5])
+    for P in ([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.25, 0.75]]):
+        cert = kernels.detailed_balance_check(kernels.FiniteKernel(P), pi)
+        res.check("reversible", "kernels.detailed_balance_check", cert, "<=", 0.0,
+                  kernels.ENTRY_TOL)
+    passed, failed = res.assertions
+    assert passed["holds"] is True and passed["value"] == 0.0 and passed["witness"] is None
+    assert failed["holds"] is False and failed["value"] == 0.125
+    assert failed["witness"] == (0, 1, 0.125) and failed["margin"] < 0.0
+
+
+def test_non_finite_check_value_fails_and_is_written_as_null(tmp_path, monkeypatch):
+    """None, NaN and +-inf fail whatever the relation, and report.json, still
+    encoded with allow_nan=False, holds null for the value and the margin."""
+    def runner(cfg):
+        res = cli.ScenarioResult()
+        for value in (None, math.nan, math.inf, -math.inf):
+            for relation in ("<=", ">=", "=="):
+                res.check(f"{value} {relation}", "variance.asvar_homogeneous", value,
+                          relation, 0.0, 1.0)
+        res.check("finite", "variance.asvar_homogeneous", 0.0, "<=", 0.0)
+        return res
+
+    monkeypatch.setitem(cli._REGISTRY, "remark14",
+                        cli.ScenarioSpec("remark14", "stub", runner, {}))
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, {"scenario": "remark14"}),
+                     "--out-dir", out]) == 3
+    text = Path(os.path.join(out, "report.json")).read_text()
+    report = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+    *broken, finite = report["assertions"]
+    assert len(broken) == 12 and finite["holds"] is True
+    assert all(a["holds"] is False and a["value"] is None and a["margin"] is None
+               for a in broken)
 
 
 def test_ergodicity_rows_equal_a_direct_certificate_fit(tmp_path):

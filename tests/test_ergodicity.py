@@ -8,6 +8,8 @@ from varorder.ergodicity import (DriftCertificate, GeometricFitError, drift_chec
                                  fit_certificate, summability_certificate)
 from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
                               constant_kernel)
+from varorder.samplers import RngStream
+from varorder.variance import alternating_autocov
 from oracles import random_reversible_kernel
 from test_exactify import random_model
 
@@ -216,6 +218,35 @@ def test_summability_slack_equals_the_lag_by_lag_minimum():
             expected = lag_by_lag_slack(P, Q, pi, fbar / report.scale, report.certificate.C,
                                         report.certificate.rho, piV, n_horizon)
             assert report.min_bound_slack == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_relative_slack_is_the_lag_by_lag_minimum_of_one_minus_the_ratio():
+    """min_relative_slack is the minimum over lags l and start parities p of
+    1 - |cov(l, p)| / bound((l - p) // 2), with the first (l, p) that attains
+    it, recomputed from variance.alternating_autocov one lag at a time.  For
+    the ergodicity-certificates scenario's f at seeds 1, 7 and 42 it lies in
+    (0.9, 1), although min_bound_slack is the size of the last lag's bound."""
+    m, pi, V = registry_pieces()
+    Q = exactify.accept_kernel(m)
+    piV = float(np.sum(pi.weights * V.values))
+    for P in (exactify.systematic_refresh_kernel(m), exactify.random_refresh_kernel(m)):
+        for seed in (1, 7, 42):
+            gen = RngStream("ergodicity-certificates", seed).generator
+            f = FunctionVector(gen.normal(size=pi.space.size), pi.space)
+            report = summability_certificate(P, Q, pi, f, V, n_horizon=50)
+            C, rho = report.certificate.C, report.certificate.rho
+            fbar = f.values - float(np.sum(pi.weights * f.values))
+            cov = alternating_autocov(P.matrix, Q.matrix, pi.weights, fbar / report.scale, 102)
+            best = (np.inf, None, None)
+            for lag in range(1, 102):
+                for parity in range(2) if lag <= 100 else (0,):
+                    bound = (2.0 * C * rho ** ((lag - parity) // 2)) ** 0.5 * piV
+                    best = min(best, (1.0 - abs(cov[lag, parity]) / bound, lag, parity),
+                               key=lambda entry: entry[0])
+            doc = report.to_document()["min_relative_slack"]
+            assert doc["value"] == pytest.approx(best[0], rel=1e-12, abs=0.0)
+            assert (doc["lag"], doc["parity"]) == best[1:]
+            assert 0.9 < doc["value"] < 1.0 and report.min_bound_slack < 1e-7
 
 
 def test_summability_certificate_document():

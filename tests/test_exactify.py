@@ -13,9 +13,10 @@ from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
                                marginal_mh_proposal, random_refresh_kernel,
                                stationary_distribution, systematic_refresh_kernel,
                                total_variation, y_marginal_of)
-from varorder.kernels import ENTRY_TOL, FiniteKernel, detailed_balance_check, metropolis
+from varorder.kernels import (ENTRY_TOL, FiniteKernel, _doeblin_coefficient,
+                              detailed_balance_check, metropolis)
 from varorder.special_cases import gmtm_exact_kernel
-from varorder.variance import _doeblin_coefficient, _fundamental_solve
+from varorder.variance import _fundamental_solve
 import oracles
 
 
@@ -339,7 +340,7 @@ def test_ratio_certificate_bounds_the_error():
     for trial in range(120):
         n = int(rng.integers(2, 48))
         P, pi = oracles.random_reversible_kernel(rng, n)
-        eps = float(_doeblin_coefficient(P.matrix, pi.weights))
+        eps = float(_doeblin_coefficient(P.matrix))
         assert eps > 0.0
         delta = rng.normal(size=n) * 10.0 ** rng.uniform(-8, -3)
         x = pi.weights + delta - delta.mean()

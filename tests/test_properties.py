@@ -1,5 +1,6 @@
 """Property tests over random finite models and kernels."""
 
+import functools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import varorder
 from varorder.ergodicity import fit_certificate
 from varorder.exactify import (ALGORITHMS, FiniteAugmentedModel, extract_kernel,
                                stationary_distribution)
@@ -246,10 +248,35 @@ def run_documents(draw):
 @example({"scenario": "rmcmc-gaussian", "chain_length": 1000, "replicates": 2**1100})
 def test_any_small_run_exits_with_a_documented_code(doc):
     """A whole run of any generated config returns 0, 1, 2 or 3 and raises
-    nothing: a value that breaks the run inside it is a config error at load."""
+    nothing: a value that breaks the run inside it is a config error at load.
+    A run that exits 0 or 3 reports all_hold as its exit code says, and each
+    assertion record names a function of the package and holds exactly when
+    its fields say it does."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
         code = cli.main(["run", path, "--out-dir", os.path.join(tmp, "out")])
-    assert code in (0, 1, 2, 3)
+        assert code in (0, 1, 2, 3)
+        if code not in (0, 3):
+            return
+        with open(os.path.join(tmp, "out", "report.json")) as fh:
+            report = json.load(fh)
+    assert report["all_hold"] is (code == 0)
+    assert report["all_hold"] is (bool(report["assertions"])
+                                  and all(a["holds"] for a in report["assertions"]))
+    for record in report["assertions"]:
+        assert record["holds"] is _record_holds(record), record
+        assert callable(functools.reduce(getattr, record["called"].split("."), varorder))
+
+
+def _record_holds(record) -> bool:
+    """Whether value stands in relation to limit within tol, by comparisons."""
+    value, limit, tol = record["value"], record["limit"], record["tol"]
+    if value is None:
+        assert record["margin"] is None
+        return False
+    assert math.isfinite(value) and math.isfinite(record["margin"])
+    return {"<=": value <= limit + tol, "<": value < limit + tol,
+            ">=": value - limit >= -tol, ">": value - limit > -tol,
+            "==": abs(value - limit) <= tol}[record["relation"]]

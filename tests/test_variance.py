@@ -13,14 +13,13 @@ import pytest
 from varorder.ergodicity import fit_certificate
 from varorder.kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel,
                               FunctionVector, ProbVector, StateSpace,
-                              constant_kernel, detailed_balance_check,
-                              identity_kernel, metropolis)
+                              _doeblin_coefficient, constant_kernel,
+                              detailed_balance_check, identity_kernel, metropolis)
 from varorder.variance import (CG_MAX_ITERATIONS, CG_MIN_STATES, CG_TARGET,
                                EIGENVALUE_ONE_TOL, SPECTRAL_MARGIN,
                                AlternatingModel, ReducibleChainError,
                                SummabilityError, VarianceReport,
-                               _doeblin_bound, _doeblin_coefficient,
-                               _fundamental_solve, _self_adjoint_probe,
+                               _doeblin_gate, _fundamental_solve, _self_adjoint_probe,
                                alternating_partial_sum_variance,
                                asvar_alternating, asvar_alternating_stack,
                                asvar_homogeneous, asvar_homogeneous_stack,
@@ -110,7 +109,7 @@ def gate_kernel(kind, n, rng, delta=0.0):
 @pytest.mark.parametrize("kind", ["dense", "sparse", "near_reducible"])
 def test_doeblin_certificate_bounds_the_inverse_and_keeps_the_gate(kind, stationary_u,
                                                                    transposed):
-    """Wherever _doeblin_bound certifies Z = I - M + 1 u^T, the exact
+    """Wherever _doeblin_gate certifies Z = I - M + 1 u^T, the exact
     ||Z^{-1}||_1 is at most B; elsewhere the gate reports that norm.  On every
     kernel, in both orientations, the gate accepts exactly when the norm is
     at most 1 / EIGENVALUE_ONE_TOL, and an accepted solution agrees with
@@ -128,8 +127,7 @@ def test_doeblin_certificate_bounds_the_inverse_and_keeps_the_gate(kind, station
             rhs = rng.normal(size=(n, 1))  # one column, as asvar_homogeneous passes
             norm = np.linalg.norm(np.linalg.inv(Z), 1)
             K = FiniteKernel(M)
-            bound = _doeblin_bound(n, K.doeblin_coefficient)
-            certified = bound <= 0.5 / EIGENVALUE_ONE_TOL
+            bound, certified = _doeblin_gate(K)
             if certified:
                 assert norm <= bound, (n, delta)
             try:
@@ -170,7 +168,7 @@ def test_certified_gate_factorises_once(solves):
     Q, _ = random_reversible_kernel(np.random.default_rng(65), 64, pi)
     PQ = FiniteKernel(P.matrix @ Q.matrix)
     assert not detailed_balance_check(PQ, pi).holds
-    assert _doeblin_bound(64, PQ.doeblin_coefficient) <= 0.5 / EIGENVALUE_ONE_TOL
+    assert _doeblin_gate(PQ)[1]
     assert solves(lambda: stationary_distribution(PQ)) == 1
     assert np.max(np.abs(stationary_distribution(PQ).weights - pi.weights)) <= 1e-12
     K = FiniteKernel([[1.0 - 2e-8, 2e-8], [2e-8, 1.0 - 2e-8]])
@@ -208,11 +206,11 @@ def record_kernels():
 
 
 def test_kernel_record_matches_the_raw_array_path(monkeypatch):
-    """A FiniteKernel's Doeblin coefficient is _doeblin_coefficient's, bit for
-    bit, for u uniform and u = pi.  stationary_distribution and
-    asvar_homogeneous, which read the record, return the values, exceptions
-    and gate records they return with the record recomputed from the matrix
-    on every read, as before the record existed."""
+    """A FiniteKernel's cached Doeblin coefficient is _doeblin_coefficient's
+    of its matrix, bit for bit, and the stacked function's alone, as the
+    alternating gate takes it.  stationary_distribution and asvar_homogeneous,
+    which read the record, return the values, exceptions and gate records
+    they return with the record recomputed from the matrix on every read."""
     def outcome(call):
         try:
             return call()
@@ -235,14 +233,13 @@ def test_kernel_record_matches_the_raw_array_path(monkeypatch):
 
     cases = list(record_kernels())
     for K, pi in cases:
-        for u in (np.full(K.size, 1.0 / K.size), pi.weights):
-            assert K.doeblin_coefficient == float(_doeblin_coefficient(K.matrix, u))
+        assert K.doeblin_coefficient == float(_doeblin_coefficient(K.matrix))
+    stacked = _doeblin_coefficient(np.stack([K.matrix for K, _ in cases if K.size == 2]))
+    assert stacked.tolist() == [K.doeblin_coefficient for K, _ in cases if K.size == 2]
     recorded, reports, solvers = runs(cases)
     assert {"lu", "cg"} <= set(solvers)
-    monkeypatch.setattr(FiniteKernel, "column_minima",
-                        property(lambda K: K.matrix.min(axis=0)))
     monkeypatch.setattr(FiniteKernel, "doeblin_coefficient", property(
-        lambda K: float(_doeblin_coefficient(K.matrix, np.full(K.size, 1.0 / K.size)))))
+        lambda K: float(_doeblin_coefficient(K.matrix))))
     recomputed, recomputed_reports, _ = runs(cases)
     assert reports == recomputed_reports
     assert {a if isinstance(a, type) else type(a) for a in recorded} == {ReducibleKernelError,
@@ -529,7 +526,7 @@ def test_doeblin_gate_bounds_the_spectral_radius():
         _, bound, certified = asvar_alternating_stack(P, Q, pi, f)
         assert np.all(certified), P.shape
         pis = np.broadcast_to(pi, bound.shape + pi.shape[-1:])
-        assert bound == pytest.approx(1.0 - _doeblin_coefficient(P @ Q, pis), rel=0, abs=1e-14)
+        assert bound == pytest.approx(1.0 - _doeblin_coefficient(P @ Q), rel=0, abs=1e-14)
         assert np.all(eigvals_gate(P, Q, pi) <= bound + SPECTRAL_TOL), P.shape
 
 
@@ -626,7 +623,7 @@ def test_homogeneous_report_names_its_gate():
         norm = np.linalg.norm(np.linalg.inv(Z), 1)
         figure = report.diagnostics["inverse_norm"]
         if gate == "doeblin":
-            assert figure == _doeblin_bound(n, K.doeblin_coefficient) and norm <= figure
+            assert figure == _doeblin_gate(K)[0] and norm <= figure
         else:
             assert figure == pytest.approx(norm, rel=1e-12, abs=0)
 
@@ -670,7 +667,7 @@ def test_conjugate_gradient_route_matches_lu(solves, n, k):
     reference = lu_values(P, pi, F)
     assert gate["solver"] == "cg" and gate["error_bound"] <= CG_TARGET
     assert gate["gate"] == "doeblin"
-    assert gate["inverse_norm"] == _doeblin_bound(n, P.doeblin_coefficient)
+    assert gate["inverse_norm"] == _doeblin_gate(P)[0]
     assert np.all(np.abs(values - reference) <= gate["error_bound"])
     assert np.all(np.abs(values - reference) <= 1e-12)
 
@@ -712,7 +709,7 @@ def test_conjugate_gradient_falls_back_to_lu_bits(monkeypatch, case):
         M = P.matrix @ Q.matrix
     elif case == "lazy":
         M = 0.99 * np.eye(n) + 0.01 * P.matrix
-        assert 5e-4 < _doeblin_coefficient(M, pi) < 1e-3
+        assert 5e-4 < _doeblin_coefficient(M) < 1e-3
     elif case == "slow":
         M, pi = ring_with_teleport(n), np.full(n, 1.0 / n)
     else:
@@ -721,7 +718,7 @@ def test_conjugate_gradient_falls_back_to_lu_bits(monkeypatch, case):
     F = np.random.default_rng(73).normal(size=(k, n))
     K, law = FiniteKernel(M), ProbVector(pi)
     values, _, gate = asvar_homogeneous_stack(K, law, F)
-    assert gate == {"gate": "doeblin", "inverse_norm": _doeblin_bound(n, K.doeblin_coefficient),
+    assert gate == {"gate": "doeblin", "inverse_norm": _doeblin_gate(K)[0],
                     "solver": "lu"}
     assert np.array_equal(values, lu_values(K, law, F))
     if case == "slow":  # the cap, not the target, sent it to LU
