@@ -7,10 +7,12 @@ pseudo-marginal sampler family, checks reversibility and efficiency
 orderings, and runs the corresponding simulators on general state spaces.
 """
 
+from . import ergodicity, exactify, special_cases
 from .kernels import (FiniteKernel, FunctionVector, OrderingCertificate,
                       ProbVector, StateSpace, covariance_order_check,
                       detailed_balance_check, off_diagonal_order_check)
-from .samplers import AugmentedTargetModel, ChainState, ChainTrace, RngStream
+from .samplers import (AugmentedTargetModel, ChainState, ChainTrace, Proposal,
+                       RngStream)
 from .variance import (AlternatingModel, VarianceReport, asvar_alternating,
                        asvar_homogeneous, batch_means_variance)
 
@@ -19,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlternatingModel", "AugmentedTargetModel", "ChainState", "ChainTrace",
     "FiniteKernel", "FunctionVector", "OrderingCertificate", "ProbVector",
-    "RngStream", "StateSpace", "VarianceReport", "asvar_alternating",
+    "Proposal", "RngStream", "StateSpace", "VarianceReport", "asvar_alternating",
     "asvar_homogeneous", "batch_means_variance", "covariance_order_check",
     "detailed_balance_check", "off_diagonal_order_check",
 ]

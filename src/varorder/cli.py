@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import exactify, toys
+from . import __version__, exactify, toys
 from .ergodicity import SLACK_TOL, summability_certificate
 from .kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel, FunctionVector,
                       OrderingCertificate, compose, constant_kernel,
@@ -436,10 +437,18 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
     V = FunctionVector(1.0 / (pi.weights / pi.weights.max()), pi.space)
     rng = RngStream("ergodicity-certificates", cfg.seed).generator
     f = FunctionVector(rng.normal(size=pi.space.size), pi.space)
+    piV, horizon = float(np.sum(pi.weights * V.values)), cfg.params["horizon"]
     for name, P in (("systematic", exactify.systematic_refresh_kernel(m)),
                     ("random_refresh", exactify.random_refresh_kernel(m))):
-        report = summability_certificate(P, Q, pi, f, V, n_horizon=cfg.params["horizon"])
+        report = summability_certificate(P, Q, pi, f, V, n_horizon=horizon)
         cert = report.certificate
+        # the last k with (2 C rho^k)^(1/2) pi(V) > SLACK_TOL: past it a rounding-level
+        # covariance meets its bound through SLACK_TOL alone, so the check cannot fail
+        decidable = math.ceil(math.log(SLACK_TOL ** 2 / (2.0 * cert.C * piV ** 2))
+                              / math.log(cert.rho)) - 1
+        if horizon > decidable:
+            raise ConfigError(f"horizon must be <= {decidable}, got {horizon}: past it the "
+                              f"{name} covariance bounds fall below {SLACK_TOL}")
         res.add(name, "rho", cert.rho)
         res.add(name, "C", cert.C)
         res.add(name, "drift_b", cert.b)
@@ -582,6 +591,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
                 "params": cfg.params,
                 "tolerances": {"entry": ENTRY_TOL, "spectral": SPECTRAL_TOL,
                                "ordering": ORDER_TOL},
+                "versions": {"python": platform.python_version(),
+                             "numpy": np.__version__, "varorder": __version__},
                 "elapsed_seconds": time.time() - started}
         # encoded before any file is opened: a non-finite value leaves no half file
         texts = {name: json.dumps(doc, indent=2, allow_nan=False)

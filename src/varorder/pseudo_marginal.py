@@ -14,8 +14,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .samplers import (AugmentedTargetModel, CheckRefresh, MarginalProposal,
-                       ProposalS, ProposalT, Refresh, RngStream)
+from .samplers import AugmentedTargetModel, Proposal, RngStream
 
 
 class ZeroWeightError(ValueError):
@@ -67,19 +66,19 @@ def gimh_estimate(m: ImportanceModel, y, rng: RngStream) -> tuple[float, tuple]:
     return math.exp(m.log_estimate(y, vs)), vs
 
 
-def _s_ignoring_u(proposal_s: MarginalProposal) -> ProposalS:
+def _s_ignoring_u(proposal_s: Proposal) -> Proposal:
     """S(y, u; .) = proposal_s(y, .) whatever the auxiliary u."""
-    return ProposalS(sample=lambda gen, y, u: proposal_s.sample(gen, y),
-                     log_density=lambda y, u, yh: proposal_s.log_density(y, yh))
+    return Proposal(sample=lambda gen, y, u: proposal_s.sample(gen, y),
+                    log_density=lambda y, u, yh: proposal_s.log_density(y, yh))
 
 
-def _fresh_sample_t(m: ImportanceModel) -> ProposalT:
+def _fresh_sample_t(m: ImportanceModel) -> Proposal:
     """T(y, u, yhat; .): a fresh N-sample from q_yhat, whatever (y, u)."""
-    return ProposalT(sample=lambda gen, y, u, yh: m.draws(gen, yh),
-                     log_density=lambda y, u, yh, uh: m.log_q_draws(yh, uh))
+    return Proposal(sample=lambda gen, y, u, yh: m.draws(gen, yh),
+                    log_density=lambda y, u, yh, uh: m.log_q_draws(yh, uh))
 
 
-def gimh_as_freeze(m: ImportanceModel, proposal_s: MarginalProposal) -> AugmentedTargetModel:
+def gimh_as_freeze(m: ImportanceModel, proposal_s: Proposal) -> AugmentedTargetModel:
     """Cast GIMH as a freeze model with u = (v_1, ..., v_N).
 
     pi*(y) r(y, u) factorizes as prod_m q_y(v_m) times pi*_N(y), so the
@@ -89,14 +88,13 @@ def gimh_as_freeze(m: ImportanceModel, proposal_s: MarginalProposal) -> Augmente
     """
     return AugmentedTargetModel(
         log_pi_star=lambda y: 0.0,
-        refresh=Refresh(
-            sample=m.draws,
-            log_density=lambda y, u: m.log_q_draws(y, u) + m.log_estimate(y, u)),
-        S=_s_ignoring_u(proposal_s), T=_fresh_sample_t(m))
+        S=_s_ignoring_u(proposal_s), T=_fresh_sample_t(m),
+        refresh=Proposal(sample=m.draws,
+                         log_density=lambda y, u: m.log_q_draws(y, u) + m.log_estimate(y, u)))
 
 
 def gimh_as_random_refresh(m: ImportanceModel,
-                           proposal_s: MarginalProposal) -> AugmentedTargetModel:
+                           proposal_s: Proposal) -> AugmentedTargetModel:
     """The random-refreshment wiring of GIMH: rcheck = prod q_y and
     log-weights log pi*_N (known up to the y-independent normalizing
     constant of the target).  T stays the fresh-sample kernel of the freeze
@@ -104,9 +102,9 @@ def gimh_as_random_refresh(m: ImportanceModel,
     # log_estimate is looked up per call, so a wrapper set on the class later applies
     return AugmentedTargetModel(
         log_pi_star=lambda y: 0.0,
-        check_refresh=CheckRefresh(sample=m.draws, log_density=m.log_q_draws,
-                                   log_weight=lambda y, u: m.log_estimate(y, u)),
-        S=_s_ignoring_u(proposal_s), T=_fresh_sample_t(m))
+        S=_s_ignoring_u(proposal_s), T=_fresh_sample_t(m),
+        refresh=Proposal(sample=m.draws, log_density=m.log_q_draws),
+        log_weight=lambda y, u: m.log_estimate(y, u))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,7 @@ class ABCModel:
 
 
 def abc_random_refresh_model(m: ABCModel, log_prior: Callable[[Any], float],
-                             proposal_s: MarginalProposal) -> AugmentedTargetModel:
+                             proposal_s: Proposal) -> AugmentedTargetModel:
     """Random-refreshment GIMH-ABC targeting prior(y) K[(s(u)-obs)/h].
 
     The simulator density rcheck and the fresh-simulation kernel T cancel
@@ -157,12 +155,9 @@ def abc_random_refresh_model(m: ABCModel, log_prior: Callable[[Any], float],
 
     return AugmentedTargetModel(
         log_pi_star=log_prior,
-        check_refresh=CheckRefresh(
-            sample=lambda gen, y: m.simulator(gen, y),
-            log_density=lambda y, u: 0.0,
-            log_weight=log_weight),
         S=_s_ignoring_u(proposal_s),
-        T=ProposalT(sample=lambda gen, y, u, yh: m.simulator(gen, yh),
-                    log_density=lambda y, u, yh, uh: 0.0),
-    )
+        T=Proposal(sample=lambda gen, y, u, yh: m.simulator(gen, yh),
+                   log_density=lambda y, u, yh, uh: 0.0),
+        refresh=Proposal(sample=m.simulator, log_density=lambda y, u: 0.0),
+        log_weight=log_weight)
 

@@ -80,61 +80,36 @@ def choice_cdf(p) -> list:
 
 
 @dataclass(frozen=True)
-class Refresh:
-    """Sampleable refresh kernel R with log-density r(y, u)."""
+class Proposal:
+    """A sampleable kernel and its log-density.  Given y for a refresh or a
+    proposal on Y, (y, u) for S and (y, u, yhat) for T: ``sample(gen, *given)``
+    draws, and ``log_density(*given, drawn)`` scores the draw."""
 
-    sample: Callable[[np.random.Generator, Any], Any]
-    log_density: Callable[[Any, Any], float]
-
-
-@dataclass(frozen=True)
-class CheckRefresh:
-    """Factorized refresh: sampleable rcheck plus log-weights known up to a
-    y-independent constant (r = rcheck * w)."""
-
-    sample: Callable[[np.random.Generator, Any], Any]
-    log_density: Callable[[Any, Any], float]
-    log_weight: Callable[[Any, Any], float]
+    sample: Callable[..., Any]
+    log_density: Callable[..., float]
 
 
-@dataclass(frozen=True)
-class ProposalS:
-    sample: Callable[[np.random.Generator, Any, Any], Any]
-    log_density: Callable[[Any, Any, Any], float]       # (y, u, yhat)
-
-
-@dataclass(frozen=True)
-class ProposalT:
-    sample: Callable[[np.random.Generator, Any, Any, Any], Any]
-    log_density: Callable[[Any, Any, Any, Any], float]  # (y, u, yhat, uhat)
-
-
-@dataclass(frozen=True)
-class MarginalProposal:
-    sample: Callable[[np.random.Generator, Any], Any]
-    log_density: Callable[[Any, Any], float]            # (y, yhat)
+# the name a proposal on Y had before there was one Proposal; benchmarks still build it
+MarginalProposal = Proposal
 
 
 @dataclass(frozen=True)
 class AugmentedTargetModel:
-    """Unnormalized augmented target pi(y, u) = pi_star(y) R(y, u) with
-    instrumental proposal kernels S and T."""
+    """Unnormalized augmented target pi(y, u) = pi_star(y) r(y, u) with
+    instrumental proposal kernels S and T.  Without log_weight, refresh is the
+    sampleable R; with it, refresh is rcheck and r = rcheck * w, the weights
+    known up to a y-independent constant."""
 
     log_pi_star: Callable[[Any], float]
-    S: ProposalS
-    T: ProposalT
-    refresh: Optional[Refresh] = None
-    check_refresh: Optional[CheckRefresh] = None
-
-    def __post_init__(self):
-        if self.refresh is None and self.check_refresh is None:
-            raise ValueError("a refresh kernel (R or rcheck/w) is required")
+    S: Proposal
+    T: Proposal
+    refresh: Proposal
+    log_weight: Optional[Callable[[Any, Any], float]] = None
 
     def log_r(self, y, u) -> float:
-        if self.refresh is not None:
+        if self.log_weight is None:
             return self.refresh.log_density(y, u)
-        return (self.check_refresh.log_density(y, u)
-                + self.check_refresh.log_weight(y, u))
+        return self.refresh.log_density(y, u) + self.log_weight(y, u)
 
 
 @dataclass
@@ -199,15 +174,20 @@ def freeze_step(m: AugmentedTargetModel, state: ChainState,
     return ChainState(y=y, u=u, accepts={"move": ok})
 
 
+def _redraw_and_move(m: AugmentedTargetModel, state: ChainState, gen) -> ChainState:
+    """Redraw u from the refresh kernel, do the freeze move from (y, u), drop u."""
+    u = m.refresh.sample(gen, state.y)
+    y, _, ok = _freeze_move(m, state.y, u, gen)
+    return ChainState(y=y, u=None, accepts={"move": ok})
+
+
 def systematic_refresh_step(m: AugmentedTargetModel, state: ChainState,
                             gen: np.random.Generator) -> ChainState:
     """Systematic refreshment: redraw u ~ R(y, .) every step; the Markov state
     is y alone."""
-    if m.refresh is None:
+    if m.log_weight is not None:
         raise ValueError("R not sampleable: only (rcheck, w) is configured")
-    u = m.refresh.sample(gen, state.y)
-    y, _, ok = _freeze_move(m, state.y, u, gen)
-    return ChainState(y=y, u=None, accepts={"move": ok})
+    return _redraw_and_move(m, state, gen)
 
 
 def random_refresh_step(m: AugmentedTargetModel, state: ChainState,
@@ -218,14 +198,13 @@ def random_refresh_step(m: AugmentedTargetModel, state: ChainState,
     The refreshed u_check is committed even when the subsequent move is
     rejected.
     """
-    if m.check_refresh is None:
+    if m.log_weight is None:
         raise ValueError("random refreshment requires the (rcheck, w) form")
     if state.u is None:
         raise ValueError("random refresh step requires an auxiliary component")
     y, u = state.y, state.u
-    u_new = m.check_refresh.sample(gen, y)
-    log_rho = (m.check_refresh.log_weight(y, u_new)
-               - m.check_refresh.log_weight(y, u))
+    u_new = m.refresh.sample(gen, y)
+    log_rho = m.log_weight(y, u_new) - m.log_weight(y, u)
     refreshed = log_rho >= 0.0 or gen.random() < math.exp(log_rho)
     u_check = u_new if refreshed else u
     y2, u2, ok = _freeze_move(m, y, u_check, gen)
@@ -237,14 +216,12 @@ def noisy_step(m: AugmentedTargetModel, state: ChainState,
     """The noisy (MCWM-style) variant: refresh through rcheck unconditionally,
     then accept with the weight-corrected freeze ratio.  Generally not
     pi_star-reversible."""
-    if m.check_refresh is None:
+    if m.log_weight is None:
         raise ValueError("the noisy step requires the (rcheck, w) form")
-    u = m.check_refresh.sample(gen, state.y)
-    y, _, ok = _freeze_move(m, state.y, u, gen)
-    return ChainState(y=y, u=None, accepts={"move": ok})
+    return _redraw_and_move(m, state, gen)
 
 
-def marginal_mh_step(k: MarginalProposal, log_pi_star: Callable[[Any], float],
+def marginal_mh_step(k: Proposal, log_pi_star: Callable[[Any], float],
                      state: ChainState, gen: np.random.Generator) -> ChainState:
     """Classical MH on Y with the marginalized proposal density k."""
     y = state.y

@@ -15,7 +15,7 @@ from .exactify import FiniteAugmentedModel
 from .kernels import (FiniteKernel, FunctionVector, ProbVector, StateSpace,
                       check_stochastic, metropolis)
 from .pseudo_marginal import ABCModel, gaussian_abc_kernel
-from .samplers import MarginalProposal, choice_cdf
+from .samplers import Proposal, choice_cdf
 from .special_cases import GmtmModel, RmcmcModel
 
 
@@ -187,7 +187,7 @@ def gaussian_rmcmc_model(step: float = 1.0) -> RmcmcModel:
         log_jacobian=lambda u: 0.0)
 
 
-def abc_toy(h: float) -> tuple[ABCModel, Callable, MarginalProposal, ProbVector]:
+def abc_toy(h: float) -> tuple[ABCModel, Callable, Proposal, ProbVector]:
     """Discrete ABC model with an exactly computable target."""
     ys = [-1.0, 0.0, 1.0]
     noise = [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]
@@ -197,9 +197,8 @@ def abc_toy(h: float) -> tuple[ABCModel, Callable, MarginalProposal, ProbVector]
                  summary=lambda u: u,
                  simulator=lambda gen, y: y + offsets[bisect_right(cdf, gen.random())])
     log_prior = lambda y: 0.0
-    prop = MarginalProposal(
-        sample=lambda gen, y: ys[gen.integers(3)],
-        log_density=lambda y, yh: -math.log(3.0))
+    prop = Proposal(sample=lambda gen, y: ys[gen.integers(3)],
+                    log_density=lambda y, yh: -math.log(3.0))
     weights = np.array([sum(p * m.weight_value(y + nz) for nz, p in noise)
                         for y in ys])
     target = ProbVector(weights / weights.sum(), StateSpace(ys))

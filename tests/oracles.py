@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from typing import Optional, Sequence
 
 import numpy as np
 
+from varorder.exactify import FiniteAugmentedModel
 from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
                               StateSpace, metropolis)
+from varorder.samplers import AugmentedTargetModel, Proposal, choice_cdf
 from varorder.special_cases import GmtmModel, RmcmcModel, gmtm_log_ratio
 
 
@@ -64,6 +67,35 @@ def empirical_one_step_frequencies(states: list, sp: StateSpace) -> np.ndarray:
     rows = counts.sum(axis=1, keepdims=True)
     rows[rows == 0] = 1.0
     return counts / rows
+
+
+def tabular_sampler_model(m: FiniteAugmentedModel,
+                          factorized: bool = False) -> AugmentedTargetModel:
+    """The simulators' model of a finite model's tables: refresh R = r, or with
+    factorized, refresh rcheck and log_weight log w.  Draws bisect choice_cdf
+    rows, the same index from the same stream position as gen.choice."""
+    Y, U = m.Y.labels, m.U.labels
+    yi = {y: i for i, y in enumerate(Y)}
+    ui = {u: i for i, u in enumerate(U)}
+
+    def cdfs(table):  # choice_cdf of every row along the last axis, as nested lists
+        return choice_cdf(table) if table.ndim == 1 else [cdfs(row) for row in table]
+
+    refresh = m.rcheck if factorized else m.r
+    r_cdf, S_cdf, T_cdf = cdfs(refresh), cdfs(m.S), cdfs(m.T)
+    return AugmentedTargetModel(
+        log_pi_star=lambda y: math.log(m.pi_star[yi[y]]),
+        S=Proposal(
+            sample=lambda gen, y, u: Y[bisect_right(S_cdf[yi[y]][ui[u]], gen.random())],
+            log_density=lambda y, u, yh: math.log(m.S[yi[y], ui[u], yi[yh]])),
+        T=Proposal(
+            sample=lambda gen, y, u, yh: U[bisect_right(T_cdf[yi[y]][ui[u]][yi[yh]],
+                                                        gen.random())],
+            log_density=lambda y, u, yh, uh: math.log(m.T[yi[y], ui[u], yi[yh], ui[uh]])),
+        refresh=Proposal(
+            sample=lambda gen, y: U[bisect_right(r_cdf[yi[y]], gen.random())],
+            log_density=lambda y, u: math.log(refresh[yi[y], ui[u]])),
+        log_weight=(lambda y, u: math.log(m.w[yi[y], ui[u]])) if factorized else None)
 
 
 def check_involution(model: RmcmcModel, points: Sequence, tol: float = 1e-10) -> None:

@@ -5,13 +5,16 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import varorder
 from varorder import cli, ergodicity, exactify, kernels, toys, variance
 
 
@@ -122,7 +125,8 @@ def test_run_writes_all_outputs_and_is_deterministic(tmp_path):
                            "tol", "margin"] for a in report["assertions"])
     meta = json.loads(Path(os.path.join(out1, "metadata.json")).read_text())
     assert meta["seed"] == 5
-    assert set(meta) == {"scenario", "seed", "rng", "params", "tolerances", "elapsed_seconds"}
+    assert set(meta) == {"scenario", "seed", "rng", "params", "tolerances", "versions",
+                         "elapsed_seconds"}
     assert meta["rng"] == "numpy-pcg64"
     assert "tolerances" in meta
 
@@ -197,8 +201,9 @@ def test_replicates_are_config_errors_where_no_runner_uses_them(tmp_path, capsys
     assert not os.path.exists(os.path.join(out, "metadata.json"))
 
 
-def test_every_registry_scenario_runs(tmp_path):
-    """Smoke-run the full registry at reduced sizes."""
+def run_registry(tmp_path) -> dict:
+    """Run every registry scenario at reduced sizes; {name: (exit code, out dir)}."""
+    runs = {}
     for name in sorted(EXPECTED_SCENARIOS):
         doc = {"scenario": name, "seed": 1}
         if name in ("rmcmc-gaussian", "abc-random-refresh"):
@@ -206,12 +211,50 @@ def test_every_registry_scenario_runs(tmp_path):
         if name == "theorem4-random-pairs":
             doc["params"] = {"pairs": 30}
         out = str(tmp_path / name)
-        code = cli.main(["run", write_config(tmp_path, doc, f"{name}.json"),
-                         "--out-dir", out])
+        runs[name] = cli.main(["run", write_config(tmp_path, doc, f"{name}.json"),
+                               "--out-dir", out]), out
+    return runs
+
+
+def test_every_registry_scenario_runs(tmp_path):
+    """Smoke-run the full registry at reduced sizes."""
+    for name, (code, out) in run_registry(tmp_path).items():
         assert code == 0, name
         assert os.path.exists(os.path.join(out, "results.csv"))
         assert os.path.exists(os.path.join(out, "report.json"))
         assert os.path.exists(os.path.join(out, "metadata.json"))
+
+
+def test_every_called_name_resolves_after_importing_the_package_alone(tmp_path):
+    """A report's called names are module.function paths from the package
+    root; a fresh interpreter that runs only `import varorder` finds each."""
+    called = sorted({a["called"] for _, out in run_registry(tmp_path).values()
+                     for a in json.loads(Path(out, "report.json").read_text())["assertions"]})
+    assert {name.partition(".")[0] for name in called} >= {
+        "ergodicity", "exactify", "special_cases"}
+    code = ("import functools, json, sys\n"
+            "import varorder\n"
+            "for name in json.loads(sys.argv[1]):\n"
+            "    assert callable(functools.reduce(getattr, name.split('.'), varorder)), name\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(called)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("horizon, code", [(77, 0), (78, 1), (200, 1)])
+def test_ergodicity_horizon_past_the_decidable_lag_is_a_config_error(tmp_path, capsys,
+                                                                      horizon, code):
+    """Past lag 77 the registry toy's systematic covariance bound is below
+    SLACK_TOL, so any rounding-level covariance would meet it: the check
+    could not fail there."""
+    doc = {"scenario": "ergodicity-certificates", "seed": 42, "params": {"horizon": horizon}}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == code
+    if code:
+        assert f"horizon must be <= 77, got {horizon}" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("pairs", [0, -3])
@@ -460,6 +503,15 @@ def test_metadata_tolerances_are_the_module_constants(tmp_path):
     assert meta["tolerances"] == {"entry": kernels.ENTRY_TOL,
                                   "spectral": kernels.SPECTRAL_TOL,
                                   "ordering": cli.ORDER_TOL}
+
+
+def test_metadata_versions_are_the_running_ones(tmp_path):
+    out = str(tmp_path / "o")
+    cfg = write_config(tmp_path, {"scenario": "remark14"})
+    assert cli.main(["run", cfg, "--out-dir", out]) == 0
+    meta = json.loads(Path(os.path.join(out, "metadata.json")).read_text())
+    assert meta["versions"] == {"python": platform.python_version(),
+                                "numpy": np.__version__, "varorder": varorder.__version__}
 
 
 @pytest.mark.parametrize("text", [

@@ -228,32 +228,8 @@ def test_extracted_kernel_matches_simulation(model):
     from varorder.samplers import ChainState, RngStream, freeze_step, run_chain
     from varorder.pseudo_marginal import ImportanceModel  # noqa: F401  (env check)
     exact = extract_kernel("freeze", model).kernel
-
-    import math
-    from bisect import bisect_right
-    from varorder.samplers import (AugmentedTargetModel, ProposalS, ProposalT,
-                                   Refresh, choice_cdf)
+    m = oracles.tabular_sampler_model(model)
     Y, U = model.Y.labels, model.U.labels
-    yi = {y: i for i, y in enumerate(Y)}
-    ui = {u: i for i, u in enumerate(U)}
-
-    def cdfs(table):  # choice_cdf of every row along the last axis, as nested lists
-        return choice_cdf(table) if table.ndim == 1 else [cdfs(row) for row in table]
-
-    r_cdf, S_cdf, T_cdf = cdfs(model.r), cdfs(model.S), cdfs(model.T)
-    m = AugmentedTargetModel(
-        log_pi_star=lambda y: math.log(model.pi_star[yi[y]]),
-        refresh=Refresh(
-            sample=lambda gen, y: U[bisect_right(r_cdf[yi[y]], gen.random())],
-            log_density=lambda y, u: math.log(model.r[yi[y], ui[u]])),
-        S=ProposalS(
-            sample=lambda gen, y, u: Y[bisect_right(S_cdf[yi[y]][ui[u]], gen.random())],
-            log_density=lambda y, u, yh: math.log(model.S[yi[y], ui[u], yi[yh]])),
-        T=ProposalT(
-            sample=lambda gen, y, u, yh: U[bisect_right(
-                T_cdf[yi[y]][ui[u]][yi[yh]], gen.random())],
-            log_density=lambda y, u, yh, uh: math.log(
-                model.T[yi[y], ui[u], yi[yh], ui[uh]])))
     rng = RngStream("freeze", seed=42)
     trace = run_chain(freeze_step, m, ChainState(y=Y[0], u=U[0]), 40_000, rng)
     states = [(s.y, s.u) for s in trace.states]

@@ -11,9 +11,8 @@ from varorder.pseudo_marginal import (ABCModel, ImportanceModel,
                                       ZeroWeightError, abc_random_refresh_model,
                                       gaussian_abc_kernel, gimh_as_freeze,
                                       gimh_as_random_refresh, gimh_estimate)
-from varorder.samplers import (ChainState, MarginalProposal, RngStream,
-                               choice_cdf, freeze_step, random_refresh_step,
-                               run_chain)
+from varorder.samplers import (ChainState, Proposal, RngStream, choice_cdf,
+                               freeze_step, random_refresh_step, run_chain)
 
 
 def finite_importance_model():
@@ -31,7 +30,7 @@ def finite_importance_model():
 def uniform_proposal(tab):
     s = tab["s_prop"]
     s_cdf = [choice_cdf(row) for row in s]
-    return MarginalProposal(
+    return Proposal(
         sample=lambda gen, y: bisect_right(s_cdf[y], gen.random()),
         log_density=lambda y, yh: math.log(s[y, yh]))
 
@@ -114,10 +113,10 @@ def test_abc_kernels():
 def test_zero_weight_state_is_flagged():
     m = ABCModel(obs=0.0, kernel_K=lambda x: 0.5 if abs(x) <= 1.0 else 0.0, h=1.0,
                  summary=lambda u: u, simulator=lambda gen, y: y)
-    prop = MarginalProposal(sample=lambda gen, y: y, log_density=lambda y, yh: 0.0)
+    prop = Proposal(sample=lambda gen, y: y, log_density=lambda y, yh: 0.0)
     model = abc_random_refresh_model(m, lambda y: 0.0, prop)
     with pytest.raises(ZeroWeightError):
-        model.check_refresh.log_weight(0.0, 5.0)  # u is outside the window
+        model.log_weight(0.0, 5.0)  # u is outside the window
 
 
 def test_abc_random_refresh_targets_smoothed_posterior():
@@ -129,8 +128,8 @@ def test_abc_random_refresh_targets_smoothed_posterior():
     m = ABCModel(obs=0.5, kernel_K=gaussian_abc_kernel, h=1.0,
                  summary=lambda u: u,
                  simulator=lambda gen, y: y + noise[bisect_right(noise_cdf, gen.random())][0])
-    prop = MarginalProposal(sample=lambda gen, y: ys[gen.integers(3)],
-                            log_density=lambda y, yh: -math.log(3.0))
+    prop = Proposal(sample=lambda gen, y: ys[gen.integers(3)],
+                    log_density=lambda y, yh: -math.log(3.0))
     model = abc_random_refresh_model(m, lambda y: 0.0, prop)
     weights = np.array([sum(p * m.weight_value(y + nz) for nz, p in noise)
                         for y in ys])

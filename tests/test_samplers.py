@@ -1,6 +1,7 @@
 """Steppers: determinism, acceptance ratios against the exact tables, and
 the bookkeeping around traces."""
 
+import itertools
 import math
 from bisect import bisect_right
 
@@ -9,39 +10,12 @@ import pytest
 
 from varorder import exactify, toys
 from varorder.samplers import (AugmentedTargetModel, BlockDraws, ChainState,
-                               CheckRefresh, DensityError, MarginalProposal,
-                               ProposalS, ProposalT, Refresh, RngStream,
+                               DensityError, Proposal, RngStream,
                                acceptance_ratio_freeze, choice_cdf, freeze_step,
                                log_ratio_freeze, marginal_mh_step, noisy_step,
                                random_refresh_step, run_chain,
                                systematic_refresh_step)
-
-
-def tabular_model(m, factorized=False):
-    """Wrap a FiniteAugmentedModel's tables as an AugmentedTargetModel."""
-    Y, U = m.Y.labels, m.U.labels
-    yi = {y: i for i, y in enumerate(Y)}
-    ui = {u: i for i, u in enumerate(U)}
-    S = ProposalS(
-        sample=lambda gen, y, u: Y[gen.choice(len(Y), p=m.S[yi[y], ui[u]])],
-        log_density=lambda y, u, yh: math.log(m.S[yi[y], ui[u], yi[yh]]))
-    T = ProposalT(
-        sample=lambda gen, y, u, yh: U[gen.choice(len(U),
-                                                  p=m.T[yi[y], ui[u], yi[yh]])],
-        log_density=lambda y, u, yh, uh: math.log(m.T[yi[y], ui[u], yi[yh], ui[uh]]))
-    if factorized:
-        refresh = CheckRefresh(
-            sample=lambda gen, y: U[gen.choice(len(U), p=m.rcheck[yi[y]])],
-            log_density=lambda y, u: math.log(m.rcheck[yi[y], ui[u]]),
-            log_weight=lambda y, u: math.log(m.w[yi[y], ui[u]]))
-        return AugmentedTargetModel(
-            log_pi_star=lambda y: math.log(m.pi_star[yi[y]]),
-            check_refresh=refresh, S=S, T=T)
-    refresh = Refresh(
-        sample=lambda gen, y: U[gen.choice(len(U), p=m.r[yi[y]])],
-        log_density=lambda y, u: math.log(m.r[yi[y], ui[u]]))
-    return AugmentedTargetModel(log_pi_star=lambda y: math.log(m.pi_star[yi[y]]),
-                                refresh=refresh, S=S, T=T)
+from oracles import tabular_sampler_model
 
 
 # ---- rng ----
@@ -100,7 +74,7 @@ def test_random_and_cdf_bisection_replay_uniform_and_choice():
 
 def test_freeze_ratio_matches_exact_table():
     m = toys.registry_toy()
-    model = tabular_model(m)
+    model = tabular_sampler_model(m)
     alpha = exactify.freeze_acceptance_table(m)
     for y in m.Y.labels:
         for u in m.U.labels:
@@ -112,21 +86,23 @@ def test_freeze_ratio_matches_exact_table():
                     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_factorized_refresh_gives_same_ratio():
-    m = toys.registry_toy()
-    direct = tabular_model(m)
-    fact = tabular_model(m, factorized=True)
-    for args in (("a", 0, "b", 1), ("c", 1, "a", 0), ("b", 0, "b", 1)):
+@pytest.mark.parametrize("m", [toys.registry_toy(), toys.conjugate_toy(),
+                               toys.finite_gimh_toy(2)[0]],
+                         ids=["registry", "conjugate", "finite_gimh"])
+def test_factorized_refresh_gives_same_ratio(m):
+    """r and rcheck * w give the same freeze ratio at every (y, u, yhat, uhat)."""
+    direct = tabular_sampler_model(m)
+    fact = tabular_sampler_model(m, factorized=True)
+    for args in itertools.product(m.Y.labels, m.U.labels, m.Y.labels, m.U.labels):
         assert log_ratio_freeze(fact, *args) == pytest.approx(
             log_ratio_freeze(direct, *args), abs=1e-12)
 
 
 def test_density_error_names_the_factor():
     m = toys.registry_toy()
-    model = tabular_model(m)
-    broken = AugmentedTargetModel(
-        log_pi_star=lambda y: -math.inf,
-        refresh=model.refresh, S=model.S, T=model.T)
+    model = tabular_sampler_model(m)
+    broken = AugmentedTargetModel(log_pi_star=lambda y: -math.inf,
+                                  S=model.S, T=model.T, refresh=model.refresh)
     with pytest.raises(DensityError) as info:
         log_ratio_freeze(broken, "a", 0, "b", 1)
     assert "pi_star" in info.value.factor
@@ -135,21 +111,28 @@ def test_density_error_names_the_factor():
 # ---- steppers ----
 
 def test_freeze_step_requires_auxiliary():
-    model = tabular_model(toys.registry_toy())
+    model = tabular_sampler_model(toys.registry_toy())
     with pytest.raises(ValueError):
         freeze_step(model, ChainState(y="a"), RngStream("freeze", 0).generator)
 
 
-def test_systematic_step_requires_sampleable_refresh():
-    model = tabular_model(toys.registry_toy(), factorized=True)
-    with pytest.raises(ValueError, match="not sampleable"):
-        systematic_refresh_step(model, ChainState(y="a"), RngStream("sys", 0).generator)
+@pytest.mark.parametrize("stepper, factorized, message", [
+    (systematic_refresh_step, True, "not sampleable"),
+    (random_refresh_step, False, "requires the \\(rcheck, w\\) form"),
+    (noisy_step, False, "requires the \\(rcheck, w\\) form"),
+])
+def test_refresh_steppers_refuse_the_form_they_cannot_run(stepper, factorized, message):
+    """Systematic refreshment samples R, so it refuses (rcheck, w); random
+    refreshment and the noisy step need the weights, so they refuse R alone."""
+    model = tabular_sampler_model(toys.registry_toy(), factorized=factorized)
+    with pytest.raises(ValueError, match=message):
+        stepper(model, ChainState(y="a", u=0), RngStream("refuse", 0).generator)
 
 
 def test_random_refresh_commits_refreshed_auxiliary():
     """Even a rejected move keeps the refreshed u (step (i) is its own MH)."""
     m = toys.registry_toy()
-    model = tabular_model(m, factorized=True)
+    model = tabular_sampler_model(m, factorized=True)
     gen = RngStream("random_refresh", seed=2).generator
     seen_refresh_kinds = set()
     state = ChainState(y="a", u=0)
@@ -160,7 +143,7 @@ def test_random_refresh_commits_refreshed_auxiliary():
 
 
 def test_noisy_step_runs_and_drops_auxiliary():
-    model = tabular_model(toys.registry_toy(), factorized=True)
+    model = tabular_sampler_model(toys.registry_toy(), factorized=True)
     out = noisy_step(model, ChainState(y="a"), RngStream("noisy", 3).generator)
     assert out.u is None
     assert set(out.accepts) == {"move"}
@@ -170,7 +153,7 @@ def test_marginal_mh_long_run_frequencies():
     m = toys.registry_toy()
     k_mat = exactify.marginal_mh_proposal(m)
     yi = {y: i for i, y in enumerate(m.Y.labels)}
-    k = MarginalProposal(
+    k = Proposal(
         sample=lambda gen, y: m.Y.labels[gen.choice(m.Y.size, p=k_mat[yi[y]])],
         log_density=lambda y, yh: math.log(k_mat[yi[y], yi[yh]]))
     log_pi = lambda y: math.log(m.pi_star[yi[y]])
@@ -185,7 +168,7 @@ def test_marginal_mh_long_run_frequencies():
 # ---- traces ----
 
 def test_run_chain_length_and_counts():
-    model = tabular_model(toys.registry_toy())
+    model = tabular_sampler_model(toys.registry_toy())
     rng = RngStream("freeze", seed=4)
     trace = run_chain(freeze_step, model, ChainState(y="a", u=0), 50, rng)
     assert len(trace) == 51
