@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, exactify, toys
-from .ergodicity import SLACK_TOL, summability_certificate
+from .ergodicity import SLACK_TOL, fit_certificate, summability_certificate
 from .kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel, FunctionVector,
                       OrderingCertificate, compose, constant_kernel,
                       detailed_balance_check, identity_kernel, off_diagonal_order_check)
@@ -89,6 +89,7 @@ class ScenarioResult:
     rows: list = field(default_factory=list)
     report: dict = field(default_factory=dict)
     assertions: list = field(default_factory=list)  # the records of check
+    solvers: dict = field(default_factory=dict)  # {algorithm: solver record} for metadata.json
 
     def add(self, *args, **kw):
         self.rows.append(Row(*args, **kw))
@@ -274,10 +275,11 @@ def _check_freeze_orderings(res: ScenarioResult, m, cfg: ScenarioConfig,
     F_y = rng.normal(size=(cfg.params["functions"], m.Y.size))
     F = np.repeat(F_y, m.U.size, axis=1)  # each function of y lifted to (y, u)
     pi = m.joint_pi
-    vals = {a: asvar_homogeneous_stack(exactify.extract_kernel(a, m).kernel, pi, F)[0]
-            for a in algorithms}
-    for a, v in vals.items():
-        res.add(a, "asvar(f0)", float(v[0]))
+    vals = {}
+    for a in algorithms:
+        vals[a], _, res.solvers[a] = asvar_homogeneous_stack(
+            exactify.extract_kernel(a, m).kernel, pi, F)
+        res.add(a, "asvar(f0)", float(vals[a][0]))
     for a in algorithms[1:]:
         margin = float(np.min(vals["freeze"] - vals[a]))
         res.add(a, "min_margin_vs_freeze", margin)
@@ -344,8 +346,10 @@ def _run_marginal_mh_peskun(cfg: ScenarioConfig) -> ScenarioResult:
               "kernels.off_diagonal_order_check", cert, "<=", 0.0, ENTRY_TOL)
     rng = RngStream(cfg.scenario, cfg.seed).generator
     F = rng.normal(size=(cfg.params["functions"], m.Y.size))
-    v_sys, v_mh = (asvar_homogeneous_stack(K, m.pi_star_vector, F)[0] for K in (sys_y, mh_y))
-    min_margin = float(np.min(v_sys - v_mh))
+    v = {}
+    for a, K in (("systematic", sys_y), ("marginal_mh", mh_y)):
+        v[a], _, res.solvers[a] = asvar_homogeneous_stack(K, m.pi_star_vector, F)
+    min_margin = float(np.min(v["systematic"] - v["marginal_mh"]))
     res.add("marginal_mh", "min_margin_vs_systematic", min_margin)
     res.check("asvar(marginal MH) <= asvar(systematic refreshment)",
               "variance.asvar_homogeneous_stack", min_margin, ">=", 0.0, ORDER_TOL)
@@ -438,10 +442,11 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
     rng = RngStream("ergodicity-certificates", cfg.seed).generator
     f = FunctionVector(rng.normal(size=pi.space.size), pi.space)
     piV, horizon = float(np.sum(pi.weights * V.values)), cfg.params["horizon"]
-    for name, P in (("systematic", exactify.systematic_refresh_kernel(m)),
-                    ("random_refresh", exactify.random_refresh_kernel(m))):
-        report = summability_certificate(P, Q, pi, f, V, n_horizon=horizon)
-        cert = report.certificate
+    chains = {"systematic": exactify.systematic_refresh_kernel(m),
+              "random_refresh": exactify.random_refresh_kernel(m)}
+    certs = {name: fit_certificate(FiniteKernel(P.matrix @ Q.matrix, P.space), pi, V)
+             for name, P in chains.items()}
+    for name, cert in certs.items():
         # the last k with (2 C rho^k)^(1/2) pi(V) > SLACK_TOL: past it a rounding-level
         # covariance meets its bound through SLACK_TOL alone, so the check cannot fail
         decidable = math.ceil(math.log(SLACK_TOL ** 2 / (2.0 * cert.C * piV ** 2))
@@ -449,6 +454,10 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
         if horizon > decidable:
             raise ConfigError(f"horizon must be <= {decidable}, got {horizon}: past it the "
                               f"{name} covariance bounds fall below {SLACK_TOL}")
+    for name, P in chains.items():
+        report = summability_certificate(P, Q, pi, f, V, n_horizon=horizon,
+                                         certificate=certs[name])
+        cert = report.certificate
         res.add(name, "rho", cert.rho)
         res.add(name, "C", cert.C)
         res.add(name, "drift_b", cert.b)
@@ -593,6 +602,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
                                "ordering": ORDER_TOL},
                 "versions": {"python": platform.python_version(),
                              "numpy": np.__version__, "varorder": __version__},
+                **({"solvers": result.solvers} if result.solvers else {}),
                 "elapsed_seconds": time.time() - started}
         # encoded before any file is opened: a non-finite value leaves no half file
         texts = {name: json.dumps(doc, indent=2, allow_nan=False)

@@ -95,9 +95,11 @@ class SummabilityReport:
 
 def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
                             f: FunctionVector, V: FunctionVector,
-                            n_horizon: int = 50) -> SummabilityReport:
+                            n_horizon: int = 50,
+                            certificate: DriftCertificate | None = None) -> SummabilityReport:
     """Verify the four geometric covariance bounds of the alternating chain
-    against exactly computed covariances.
+    against exactly computed covariances; certificate is fit_certificate's
+    for P Q, pi and V, fitted here when None.
 
     The bounds are stated for centered f with |f|_{V^{1/2}} <= 1 and
     |Pf|_{V^{1/2}} <= 1; general f is rescaled and the scale reported.  Lag
@@ -107,7 +109,9 @@ def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
     """
     if n_horizon < 0:
         raise ValueError(f"n_horizon must be >= 0, got {n_horizon}")
-    cert = fit_certificate(FiniteKernel(P.matrix @ Q.matrix, P.space), pi, V)
+    cert = certificate
+    if cert is None:
+        cert = fit_certificate(FiniteKernel(P.matrix @ Q.matrix, P.space), pi, V)
     fbar = f.values - float(np.sum(pi.weights * f.values))
     vhalf = np.sqrt(V.values)
     f_norm = float(np.max(np.abs(fbar) / vhalf))

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import (ENTRY_TOL, FiniteKernel, ProbVector, StateSpace,
-                      _mh_acceptance, check_stochastic)
+                      _mh_acceptance, check_stochastic, lumped)
 from .variance import _doeblin_gate, _fundamental_solve, check_invariant
 
 MAX_JOINT_STATES = 256
@@ -216,28 +216,41 @@ def stationary_distribution(K: FiniteKernel) -> ProbVector:
 
     LU route, for every other kernel (not reversible, or not certified):
     pi (I - K + 1 u^T) = u^T for uniform u through variance._fundamental_solve,
-    one factorisation.  Raises ReducibleKernelError when its gate finds
+    one factorisation.  A certified K with runs of equal rows (K.row_runs:
+    systematic refreshment, the noisy step) lumps instead: mu, the law of
+    kernels.lumped(K) by these same routes, gives pi = mu W, W K's distinct
+    rows.  Raises ReducibleKernelError when its gate finds
     ||(I - K + 1 u^T)^-1||_1 above 1 / EIGENVALUE_ONE_TOL (the eigenvalue 1
     of K is not simple), or when the clipped, renormalized pi fails
     variance.check_invariant.  The ratio route is taken only where the
     LU route's gate passes, so both routes accept and reject the same kernels.
     """
+    return ProbVector(_stationary_weights(K), K.space)
+
+
+def _stationary_weights(K: FiniteKernel) -> np.ndarray:
+    """The weights of stationary_distribution(K); the lumped route recurses
+    here, so stationary_distribution is entered once per law."""
     M, n, eps = K.matrix, K.size, K.doeblin_coefficient
     u = np.full(n, 1.0 / n)
-    if _doeblin_gate(K)[1]:
+    certified = _doeblin_gate(K)[1]
+    if certified:
         c = int(np.argmax(M.min(axis=0)))
         x = np.maximum(M[c] / M[:, c], 0.0)
         x = x / x.sum()
         if np.sum(np.abs(x @ M - x)) * (2.0 - eps) / eps <= ENTRY_TOL:
-            return ProbVector(x, K.space)
+            return x
     try:
-        pi, _ = _fundamental_solve(K, u, u[:, None], transposed=True)
-        pi = np.maximum(pi[:, 0], 0.0)
+        if certified and K.row_runs is not None:
+            pi = _stationary_weights(lumped(K)) @ M[K.row_runs]
+        else:
+            pi = _fundamental_solve(K, u, u[:, None], transposed=True)[0][:, 0]
+        pi = np.maximum(pi, 0.0)
         pi = pi / pi.sum()
         check_invariant(pi, M, "K")
     except ValueError as exc:  # ReducibleChainError or check_invariant's
         raise ReducibleKernelError(f"reducible kernel: {exc}") from exc
-    return ProbVector(pi, K.space)
+    return pi
 
 
 def total_variation(p: ProbVector, q: ProbVector) -> float:

@@ -125,6 +125,32 @@ class FiniteKernel:
         """_doeblin_coefficient of the matrix, computed once (matrix is a read-only copy)."""
         return float(_doeblin_coefficient(self.matrix))
 
+    @cached_property
+    def row_runs(self) -> Optional[np.ndarray]:
+        """First row of each run of equal consecutive rows, or None when no two
+        consecutive rows are equal, computed once.  Whole rows are compared only
+        where the first column ties, so a kernel without runs costs O(n).  Rows
+        that differ in one bit start a new run: a missed run costs speed, never
+        correctness."""
+        M = self.matrix
+        tie = np.flatnonzero(M[1:, 0] == M[:-1, 0])
+        same = tie[np.all(M[tie + 1] == M[tie], axis=1)] if tie.size else tie
+        if same.size == 0:
+            return None
+        first = np.ones(self.size, dtype=bool)
+        first[same + 1] = False
+        return np.flatnonzero(first)
+
+
+def lumped(K: FiniteKernel) -> FiniteKernel:
+    """L = W E for a kernel K = E W with runs (K.row_runs): W the distinct rows
+    and E the 0/1 map from states to runs, so L sums W's columns over each run.
+    K's chain lumps exactly onto the runs (Kemeny & Snell, Finite Markov
+    Chains, 1960, 6.3): a law mu with mu L = mu gives pi = mu W with pi K = pi,
+    and mu = pi E.  L's Doeblin coefficient is at least K's."""
+    starts = K.row_runs
+    return FiniteKernel(np.add.reduceat(K.matrix[starts], starts, axis=1))
+
 
 def _doeblin_coefficient(M: np.ndarray) -> np.ndarray:
     """eps = sum_y min_x M(x, y), the Doeblin coefficient of kernels M

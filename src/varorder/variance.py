@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import (ENTRY_TOL, FiniteKernel, FunctionVector, ProbVector,
-                      _doeblin_coefficient, _require_same_space)
+                      _doeblin_coefficient, _require_same_space, lumped)
 
 INVARIANCE_TOL = 1e-12
 EIGENVALUE_ONE_TOL = 1e-9
@@ -158,15 +158,20 @@ def _self_adjoint_probe(P: np.ndarray, pi: np.ndarray) -> bool:
 def _conjugate_gradient(P: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
                         fbar: np.ndarray, eps: float) -> tuple[np.ndarray, dict] | None:
     """Solve Z g = rhs, Z = I - P + 1 pi^T, a column per function, by
-    conjugate gradients in the pi-inner product, stopped by a certificate;
-    returns g and {"iterations", "error_bound"}, or None when the certificate
-    is out of reach (the caller then factorises).
+    preconditioned conjugate gradients in the pi-inner product, stopped by a
+    certificate; returns g and {"solver": "cg", "iterations", "error_bound"},
+    or None when the certificate is out of reach (the caller then factorises).
 
     For pi-reversible P and pi > 0, Z is self-adjoint and positive definite in
     L2(pi) (Z 1 = 1, and I - P on the pi-centred functions), so CG in that
     inner product applies, at one P-matmat per iteration (Hestenes & Stiefel,
-    1952).  Certificate: with the explicit residual r_i = rhs_i - Z g_i,
-    g_i - Z^{-1} rhs_i = -Z^{-1} r_i, so |2 <fbar_i, g_i - Z^{-1} rhs_i>_pi|
+    1952).  The preconditioner is Z's diagonal d = 1 - diag(P) + pi (Jacobi;
+    Saad, Iterative Methods for Sparse Linear Systems, 2003, 9.2): positive
+    where CG runs and diagonal, so self-adjoint in L2(pi).  On dense random
+    reversible kernels it took 10-11 iterations at 1024-4096 states, against
+    20-21 without it.  Certificate: with the explicit residual
+    r_i = rhs_i - Z g_i, g_i - Z^{-1} rhs_i = -Z^{-1} r_i, so
+    |2 <fbar_i, g_i - Z^{-1} rhs_i>_pi|
     <= 2 ||pi fbar_i||_1 C ||r_i||_inf with C = 3 (2 - eps) / eps
     >= ||Z^{-1}||_inf (see _doeblin_gate); g is returned once that bound is at
     most CG_TARGET for every function.  It holds for any stochastic P, so
@@ -182,26 +187,30 @@ def _conjugate_gradient(P: np.ndarray, pi: np.ndarray, rhs: np.ndarray,
     if np.any(scale * 4.0 * np.finfo(float).eps * np.max(np.abs(rhs), axis=0) > CG_TARGET):
         return None
     g, r, iterations = np.zeros_like(rhs), rhs, 0
+    d = (1.0 - np.diagonal(P) + pi)[:, None]  # diag(Z), the Jacobi preconditioner
     while True:
         error = scale * np.max(np.abs(r), axis=0)
         if np.all(error <= CG_TARGET):
-            return g, {"iterations": iterations, "error_bound": float(np.max(error))}
+            return g, {"solver": "cg", "iterations": iterations,
+                       "error_bound": float(np.max(error))}
         if iterations >= CG_MAX_ITERATIONS:
             return None
-        # CG restarted from g on the explicit residual, until the recurrence's
+        # PCG restarted from g on the explicit residual, until the recurrence's
         # residual meets the target; a finished column stops moving (alpha = 0)
-        p, rr, active = r, pi @ (r * r), error > CG_TARGET
+        p = z = r / d
+        rz, active = pi @ (r * z), error > CG_TARGET
         while np.any(active) and iterations < CG_MAX_ITERATIONS:
             q = p - P @ p + pi @ p
             iterations += 1
             pq = pi @ (p * q)
             go = active & (pq > 0.0)
-            alpha = np.divide(rr, pq, out=np.zeros(k), where=go)
+            alpha = np.divide(rz, pq, out=np.zeros(k), where=go)
             g = g + alpha * p
             r = r - alpha * q
-            rr_next = pi @ (r * r)
-            p = r + np.divide(rr_next, rr, out=np.zeros(k), where=go) * p
-            rr, active = rr_next, go & (scale * np.max(np.abs(r), axis=0) > CG_TARGET)
+            z = r / d
+            rz_next = pi @ (r * z)
+            p = z + np.divide(rz_next, rz, out=np.zeros(k), where=go) * p
+            rz, active = rz_next, go & (scale * np.max(np.abs(r), axis=0) > CG_TARGET)
         r = rhs - (g - P @ g + pi @ g)
         iterations += 1
 
@@ -213,7 +222,8 @@ def asvar_homogeneous_stack(K: FiniteKernel, law: ProbVector,
     variance_of_f, gate), gate being the record of the ||.^-1||_1 figure the
     gate used ("gate", "inverse_norm", see _fundamental_solve) and of the
     solver that ran ("solver": "lu" or "cg"; with "cg" also "iterations" and
-    "error_bound", the largest certified |v - v_exact| over the functions).
+    "error_bound", the largest certified |v - v_exact| over the functions;
+    with the lumped LU also "lumped_states").
 
     v = pi fbar^2 + 2 <fbar, g> with (I - P + 1 pi^T) g = P fbar, a column
     per function.  The gate of _fundamental_solve decides first:
@@ -221,19 +231,31 @@ def asvar_homogeneous_stack(K: FiniteKernel, law: ProbVector,
     1 / EIGENVALUE_ONE_TOL (eigenvalue 1 of P not simple), proven below it by
     P's Doeblin bound or else computed exactly.
 
+    Lumped route, tried first since it is always cheaper: when the gate
+    certifies P and P has runs of equal rows (K.row_runs; systematic
+    refreshment and the noisy step, whose rows repeat over each y-block),
+    P = E W for W its m distinct rows and E the 0/1 map from states to runs.
+    Then P fbar = E W fbar, every solution has the form g = E x, and
+    (I - L + 1 mu^T) x = W fbar with L = W E (kernels.lumped) and mu = pi E:
+    one m x m solve instead of n x n.  L's Doeblin coefficient is at least
+    P's, so its gate passes; the record keeps P's gate and B (with n) and
+    adds "lumped_states": m.
+
     CG route, with no factorisation: when the gate certifies P,
     n >= CG_MIN_STATES, k <= n / CG_STATES_PER_FUNCTION, pi > 0 and
     _self_adjoint_probe finds P pi-self-adjoint, _conjugate_gradient solves to
-    a certified |v - v_exact| <= CG_TARGET per function, in about 20
-    iterations on a dense random reversible kernel.  Measured there (2 CPUs,
-    OpenBLAS, median solve time over two runs): 5.1-6.4 against LU's 32-36 ms
-    at 1024 states and k = 1, 0.11-0.15 against 0.85-1.08 s at 4096 states
-    and k = 1, 0.47-0.69 against 0.91-1.16 s at 4096 states and k = 20.  The
-    limits come from the same measurements.  For k >= 2 each iteration is a
-    gemm that packs all of P, so its cost grows with k while LU's barely
-    does: CG lost at k = 64 at 2048 and 4096 states (n / 32, n / 64), tied
-    at k = n / 32 at 512 and 1024, and won at every k <= n / 128 measured
-    (at 1024 states and k = 20, just past the limit, 30-34 against 28-40 ms).
+    a certified |v - v_exact| <= CG_TARGET per function, in 10-11 iterations
+    on a dense random reversible kernel.  Measured there (2 CPUs, OpenBLAS,
+    median solve time, three runs): 3.8-4.0 against LU's 25-31 ms at 1024
+    states and k = 1, 0.04-0.08 against 0.58-1.5 s at 4096 states and k = 1,
+    0.47-0.55 against 0.62-0.69 s at 4096 states and k = 20.  The limits
+    come from the same kind of measurement of CG without the preconditioner
+    (about 20 iterations), which fewer iterations only favour.  For k >= 2
+    each iteration is a gemm that packs all of P, so its cost grows with k
+    while LU's barely does: CG lost at k = 64 at 2048 and 4096 states
+    (n / 32, n / 64), tied at k = n / 32 at 512 and 1024, and won at every
+    k <= n / 128 measured (at 1024 states and k = 20, just past the limit,
+    30-34 against 28-40 ms).
     Below 512 states LU takes at most a few ms and CG would save at most
     about 1.5 ms (256 states, k = 1).  At k = n / 128 one LU cost 31-38 CG
     iterations, at k = 1 55-200, so a failed attempt of CG_MAX_ITERATIONS
@@ -248,7 +270,11 @@ def asvar_homogeneous_stack(K: FiniteKernel, law: ProbVector,
     rhs = P @ fbar.T
     n, k = rhs.shape
     solved, (bound, certified) = None, _doeblin_gate(K)
-    if (certified and n >= CG_MIN_STATES and k * CG_STATES_PER_FUNCTION <= n
+    if certified and (starts := K.row_runs) is not None:
+        x, _ = _fundamental_solve(lumped(K), np.add.reduceat(pi, starts), rhs[starts])
+        solved = (np.repeat(x, np.diff(starts, append=n), axis=0),
+                  {"solver": "lu", "lumped_states": starts.size})
+    elif (certified and n >= CG_MIN_STATES and k * CG_STATES_PER_FUNCTION <= n
             and pi.min() > 0.0 and _self_adjoint_probe(P, pi)):
         solved = _conjugate_gradient(P, pi, rhs, fbar, eps)
     if solved is None:
@@ -256,7 +282,7 @@ def asvar_homogeneous_stack(K: FiniteKernel, law: ProbVector,
         gate["solver"] = "lu"
     else:
         g, record = solved
-        gate = {"gate": "doeblin", "inverse_norm": bound, "solver": "cg", **record}
+        gate = {"gate": "doeblin", "inverse_norm": bound, **record}
     w = pi * fbar
     var_f = np.sum(w * fbar, axis=-1)
     return np.maximum(var_f + 2.0 * np.sum(w * g.T, axis=-1), 0.0), var_f, gate

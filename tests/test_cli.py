@@ -257,6 +257,20 @@ def test_ergodicity_horizon_past_the_decidable_lag_is_a_config_error(tmp_path, c
         assert not os.path.exists(out)
 
 
+def test_undecidable_horizon_is_refused_before_any_covariance(tmp_path, capsys,
+                                                              monkeypatch):
+    """The refusal needs only the fitted certificates: with the covariance
+    routine broken, horizon 500000 still exits 1 naming 77, at once."""
+    def broken(*args):
+        raise AssertionError("a covariance was computed")
+
+    monkeypatch.setattr(ergodicity, "alternating_autocov", broken)
+    doc = {"scenario": "ergodicity-certificates", "seed": 42, "params": {"horizon": 500000}}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    assert "horizon must be <= 77, got 500000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pairs", [0, -3])
 def test_nonpositive_pairs_is_config_error(tmp_path, capsys, pairs):
     """Zero pairs would make the ordering assertion hold vacuously."""
@@ -512,6 +526,26 @@ def test_metadata_versions_are_the_running_ones(tmp_path):
     meta = json.loads(Path(os.path.join(out, "metadata.json")).read_text())
     assert meta["versions"] == {"python": platform.python_version(),
                                 "numpy": np.__version__, "varorder": varorder.__version__}
+
+
+def test_metadata_records_the_solver_of_each_stacked_variance(tmp_path):
+    """freeze-vs-refresh keeps each algorithm's gate record: systematic
+    refreshment solves on its 3 runs of rows (one per y), freeze and
+    random_refresh on the full kernel.  A scenario without stacked variances
+    writes no solvers."""
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, {"scenario": "freeze-vs-refresh"}),
+                     "--seed", "7", "--out-dir", out]) == 0
+    solvers = json.loads(Path(os.path.join(out, "metadata.json")).read_text())["solvers"]
+    assert set(solvers) == {"freeze", "systematic", "random_refresh"}
+    assert solvers["systematic"]["lumped_states"] == 3
+    assert all(r["solver"] == "lu" and r["gate"] == "doeblin" for r in solvers.values())
+    assert "lumped_states" not in solvers["freeze"]
+    assert "lumped_states" not in solvers["random_refresh"]
+    out = str(tmp_path / "p")
+    assert cli.main(["run", write_config(tmp_path, {"scenario": "remark14"}),
+                     "--out-dir", out]) == 0
+    assert "solvers" not in json.loads(Path(os.path.join(out, "metadata.json")).read_text())
 
 
 @pytest.mark.parametrize("text", [

@@ -13,10 +13,10 @@ from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
                                marginal_mh_proposal, random_refresh_kernel,
                                stationary_distribution, systematic_refresh_kernel,
                                total_variation, y_marginal_of)
-from varorder.kernels import (ENTRY_TOL, FiniteKernel, _doeblin_coefficient,
+from varorder.kernels import (ENTRY_TOL, FiniteKernel, ProbVector, _doeblin_coefficient,
                               detailed_balance_check, metropolis)
 from varorder.special_cases import gmtm_exact_kernel
-from varorder.variance import _fundamental_solve
+from varorder.variance import ReducibleChainError, _fundamental_solve, asvar_homogeneous_stack
 import oracles
 
 
@@ -323,6 +323,61 @@ def test_ratio_certificate_bounds_the_error():
         bound = np.sum(np.abs(x @ P.matrix - x)) * (2.0 - eps) / eps
         slack.append(bound / np.sum(np.abs(x - pi.weights)))
     assert len(slack) == 120 and min(slack) >= 1.0, min(slack)
+
+
+def lumping_models():
+    rng = np.random.default_rng(31)
+    return [pytest.param(m, id=name) for name, m in (
+        ("registry", toys.registry_toy()), ("conjugate", toys.conjugate_toy()),
+        ("gimh2", toys.finite_gimh_toy(2)[0]), ("random16x16", random_model(rng, 16, 16)),
+        ("random32x8", random_model(rng, 32, 8)))]
+
+
+@pytest.mark.parametrize("m", lumping_models())
+def test_refresh_kernels_have_one_run_of_rows_per_y(m):
+    """Systematic refreshment and the noisy step redraw u from a law of y
+    alone, so their rows repeat over each y-block: exactly |Y| runs, one per
+    block.  Freeze and random_refresh rows depend on u: no run."""
+    blocks = list(range(0, m.Y.size * m.U.size, m.U.size))
+    for algorithm in ("systematic", "noisy"):
+        assert extract_kernel(algorithm, m).kernel.row_runs.tolist() == blocks
+    for algorithm in ("freeze", "random_refresh"):
+        assert extract_kernel(algorithm, m).kernel.row_runs is None
+
+
+def test_row_runs_compare_whole_rows_where_the_first_column_ties():
+    """A random reversible kernel has no run; nor has a kernel whose first
+    column ties where its rows differ, or whose equal rows are not
+    consecutive.  Equal consecutive rows make one run."""
+    assert oracles.random_reversible_kernel(np.random.default_rng(3), 64)[0].row_runs is None
+    a, b = [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]
+    assert FiniteKernel([a, b, [0.5, 0.25, 0.25]]).row_runs is None
+    assert FiniteKernel([a, b, a]).row_runs is None
+    assert FiniteKernel([a, b, b]).row_runs.tolist() == [0, 1]
+    assert FiniteKernel([b, b, b]).row_runs.tolist() == [0]
+
+
+@pytest.mark.parametrize("m", lumping_models())
+def test_lumped_stationary_law_matches_the_lu_route(m):
+    """The systematic and noisy laws, from the lumped kernel, lie within
+    1e-12 relative of the full kernel's LU route."""
+    for algorithm in ("systematic", "noisy"):
+        K = extract_kernel(algorithm, m).kernel
+        reference = lu_stationary(K)
+        pi = stationary_distribution(K).weights
+        assert np.all(np.abs(pi - reference) <= 1e-12 * reference), algorithm
+
+
+def test_lumpable_kernel_with_two_closed_classes_is_reducible():
+    """Runs of equal rows do not bypass the gate: a kernel of two closed
+    classes, each of two equal rows, has no unique law."""
+    K = FiniteKernel([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                      [0.0, 0.0, 0.3, 0.7], [0.0, 0.0, 0.3, 0.7]])
+    assert K.row_runs.tolist() == [0, 2]
+    with pytest.raises(ReducibleKernelError):
+        stationary_distribution(K)
+    with pytest.raises(ReducibleChainError):
+        asvar_homogeneous_stack(K, ProbVector([0.25, 0.25, 0.15, 0.35]), np.eye(4))
 
 
 def test_marginal_kernel_of_systematic_is_pi_star_reversible(model):

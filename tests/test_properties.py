@@ -20,7 +20,7 @@ from varorder.kernels import (ENTRY_TOL, FiniteKernel, FunctionVector, ProbVecto
                               StateSpace, metropolis)
 from varorder.variance import (EIGENVALUE_ONE_TOL, AlternatingModel, ReducibleChainError,
                                _fundamental_solve, asvar_alternating_stack,
-                               truncated_autocov_series)
+                               asvar_homogeneous_stack, truncated_autocov_series)
 from oracles import asvar_alternating_two_systems, random_reversible_kernel
 from test_ergodicity import assert_bound_dominates
 
@@ -115,6 +115,44 @@ def test_gate_rejects_exactly_when_the_inverse_norm_is_too_large(inputs):
     A = Z.T if transposed else Z
     scale = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
     assert np.max(np.abs(A @ x - rhs)) <= 1e-12 * scale
+
+
+@st.composite
+def row_repeating_kernels(draw):
+    """K = E W: m = 1-6 positive rows W on n = m+1 to 24 states, row j
+    repeated over a run of random length, and k = 1-3 functions."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(m + 1, 24))
+    W = draw(hnp.arrays(float, (m, n), elements=st.floats(0.05, 1.0)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=m - 1, max_size=m - 1)))
+    lengths = np.diff([0, *cuts, n])
+    F = draw(hnp.arrays(float, (draw(st.integers(1, 3)), n), elements=st.floats(-1.0, 1.0)))
+    return np.repeat(W / W.sum(axis=1, keepdims=True), lengths, axis=0), F
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(row_repeating_kernels())
+def test_lumped_solves_match_the_full_lu_route(inputs):
+    """On a kernel with runs of equal rows, the stationary law and the
+    variances from the lumped kernel lie within 1e-12 relative of the full
+    kernel's LU route (of Var(f) where v is near 0), and the record names
+    the lumped size."""
+    M, F = inputs
+    K = FiniteKernel(M)
+    runs, n = K.row_runs, K.size
+    u = np.full(n, 1.0 / n)
+    reference = np.maximum(_fundamental_solve(K, u, u[:, None], transposed=True)[0][:, 0], 0.0)
+    reference /= reference.sum()
+    law = stationary_distribution(K)
+    assert np.all(np.abs(law.weights - reference) <= 1e-12 * reference)
+    values, _, gate = asvar_homogeneous_stack(K, law, F)
+    pi = law.weights
+    fbar = F - np.sum(pi * F, axis=-1, keepdims=True)
+    g, _ = _fundamental_solve(K, pi, M @ fbar.T)
+    w = pi * fbar
+    lu = np.maximum(np.sum(w * fbar, axis=-1) + 2.0 * np.sum(w * g.T, axis=-1), 0.0)
+    assert np.all(np.abs(values - lu) <= 1e-12 * np.maximum(lu, np.sum(w * fbar, axis=-1)))
+    assert gate["solver"] == "lu" and gate["lumped_states"] == runs.size
 
 
 @st.composite

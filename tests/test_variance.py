@@ -31,6 +31,7 @@ from oracles import random_reversible_kernel
 from varorder.exactify import (FiniteAugmentedModel, ReducibleKernelError,
                                extract_kernel, random_refresh_kernel,
                                stationary_distribution)
+from test_exactify import lumping_models, random_model
 
 
 def two_state_chain(eps):
@@ -637,6 +638,34 @@ def lu_values(K, law, F):
     return np.maximum(np.sum(w * fbar, axis=-1) + 2.0 * np.sum(w * g.T, axis=-1), 0.0)
 
 
+@pytest.mark.parametrize("m", lumping_models())
+def test_lumped_variances_match_the_lu_route(m):
+    """Systematic and noisy kernels take the lumped route (one run per y):
+    their variances, for functions of the whole state, lie within 1e-12
+    relative of the full kernel's LU route, and the record is the full
+    kernel's gate with lumped_states = |Y|."""
+    F = np.random.default_rng(m.Y.size).normal(size=(4, m.Y.size * m.U.size))
+    for algorithm in ("systematic", "noisy"):
+        K = extract_kernel(algorithm, m).kernel
+        law = stationary_distribution(K)
+        values, _, gate = asvar_homogeneous_stack(K, law, F)
+        reference = lu_values(K, law, F)
+        assert np.all(np.abs(values - reference) <= 1e-12 * reference), algorithm
+        assert gate == {"gate": "doeblin", "inverse_norm": _doeblin_gate(K)[0],
+                        "solver": "lu", "lumped_states": m.Y.size}
+
+
+def test_lumped_route_makes_one_solve_of_the_lumped_size(monkeypatch):
+    """A 256-state systematic kernel with 16 runs costs one 16 x 16 solve."""
+    m = random_model(np.random.default_rng(9), 16, 16)
+    K = extract_kernel("systematic", m).kernel
+    F = np.random.default_rng(10).normal(size=(3, K.size))
+    solve, shapes = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: shapes.append(A.shape) or solve(A, b))
+    asvar_homogeneous_stack(K, m.joint_pi, F)
+    assert shapes == [(16, 16)]
+
+
 def test_homogeneous_report_names_its_solver():
     """Below CG_MIN_STATES the report names the LU solve; a certified
     reversible kernel at CG_MIN_STATES names CG, its iterations and its
@@ -670,6 +699,8 @@ def test_conjugate_gradient_route_matches_lu(solves, n, k):
     assert gate["inverse_norm"] == _doeblin_gate(P)[0]
     assert np.all(np.abs(values - reference) <= gate["error_bound"])
     assert np.all(np.abs(values - reference) <= 1e-12)
+    if n == 1024 and k == 1:  # the Jacobi preconditioner: 11 iterations, 20 without it
+        assert gate["iterations"] <= 14
 
 
 def test_conjugate_gradient_route_on_constant_functions():

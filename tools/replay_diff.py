@@ -8,8 +8,9 @@ runs at its default params at each seed (default: 1, 7 and 42) through
 ``varorder.cli`` in a fresh process.  The script prints each changed exit code, each moved
 number of ``results.csv``, ``report.json`` and ``metadata.json`` (without
 ``elapsed_seconds``) with its relative change, each other moved value, and
-each key that one tree writes and the other does not.  It exits 1 when
-anything moved, 0 otherwise.
+each key that one tree writes and the other does not.  Its closing line
+names the largest relative move over all runs and where it was.  It exits 1
+when anything moved, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ def _number(leaf):
         return None
 
 
+def relative_move(old, new):
+    """|new - old| / |old| of two numeric leaves; None when either is not a
+    number or old is 0."""
+    a, b = _number(old), _number(new)
+    return abs(b - a) / abs(a) if a is not None and b is not None and a != 0.0 else None
+
+
 def moves(old: dict, new: dict) -> list:
     """One line per leaf that moved, was added or was removed."""
     lines = []
@@ -85,11 +93,29 @@ def moves(old: dict, new: dict) -> list:
         elif path not in old:
             lines.append(f"{path}: added ({new[path]!r})")
         elif old[path] != new[path]:
-            a, b = _number(old[path]), _number(new[path])
-            change = (f" (relative {abs(b - a) / abs(a):.3g})"
-                      if a is not None and b is not None and a != 0.0 else "")
+            change = relative_move(old[path], new[path])
+            change = "" if change is None else f" (relative {change:.3g})"
             lines.append(f"{path}: {old[path]!r} -> {new[path]!r}{change}")
     return lines
+
+
+def largest_move(runs: dict) -> str:
+    """The closing line over {run label: (old leaves, new leaves)}: the
+    largest relative move of a leaf both trees write, where it was, and how
+    many moved leaves have no relative figure (added, removed, not numbers,
+    or moved from 0)."""
+    worst, where, other = None, None, 0
+    for label, (old, new) in runs.items():
+        for path in sorted(old.keys() | new.keys()):
+            if path in old and path in new and old[path] == new[path]:
+                continue
+            change = relative_move(old.get(path), new.get(path))
+            if change is None:
+                other += 1
+            elif worst is None or not change <= worst:  # a NaN move counts as the largest
+                worst, where = change, f"{label}: {path}"
+    largest = "none" if worst is None else f"{worst:.3g} at {where}"
+    return f"largest relative move: {largest}; {other} moved leaf(s) without one"
 
 
 def main(argv=None) -> int:
@@ -102,7 +128,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", action="append", type=int,
                         help="a seed to replay at (repeatable; default 1, 7, 42)")
     args = parser.parse_args(argv)
-    moved = 0
+    moved, runs = 0, {}
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in args.scenario or _varorder(args.new_tree, "list").stdout.split():
             for seed in args.seed or SEEDS:
@@ -111,11 +137,13 @@ def main(argv=None) -> int:
                             for side, tree in (("old", args.old_tree), ("new", args.new_tree)))
                 lines = moves(old, new)
                 moved += bool(lines)
+                runs[f"{scenario} seed {seed}"] = old, new
                 for line in lines:
                     print(f"{scenario} seed {seed}: {line}")
                 print(f"{scenario} seed {seed}: exit {old['exit']} -> {new['exit']}, "
                       f"{len(lines)} moved", file=sys.stderr)
     print(f"{moved} run(s) moved", file=sys.stderr)
+    print(largest_move(runs), file=sys.stderr)
     return 1 if moved else 0
 
 
