@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, exactify, toys
-from .ergodicity import SLACK_TOL, fit_certificate, summability_certificate
+from .ergodicity import SLACK_TOL, UndecidableHorizonError, summability_certificate
 from .kernels import (ENTRY_TOL, SPECTRAL_TOL, FiniteKernel, FunctionVector,
                       OrderingCertificate, compose, constant_kernel,
                       detailed_balance_check, identity_kernel, off_diagonal_order_check)
@@ -441,22 +441,13 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
     V = FunctionVector(1.0 / (pi.weights / pi.weights.max()), pi.space)
     rng = RngStream("ergodicity-certificates", cfg.seed).generator
     f = FunctionVector(rng.normal(size=pi.space.size), pi.space)
-    piV, horizon = float(np.sum(pi.weights * V.values)), cfg.params["horizon"]
     chains = {"systematic": exactify.systematic_refresh_kernel(m),
               "random_refresh": exactify.random_refresh_kernel(m)}
-    certs = {name: fit_certificate(FiniteKernel(P.matrix @ Q.matrix, P.space), pi, V)
-             for name, P in chains.items()}
-    for name, cert in certs.items():
-        # the last k with (2 C rho^k)^(1/2) pi(V) > SLACK_TOL: past it a rounding-level
-        # covariance meets its bound through SLACK_TOL alone, so the check cannot fail
-        decidable = math.ceil(math.log(SLACK_TOL ** 2 / (2.0 * cert.C * piV ** 2))
-                              / math.log(cert.rho)) - 1
-        if horizon > decidable:
-            raise ConfigError(f"horizon must be <= {decidable}, got {horizon}: past it the "
-                              f"{name} covariance bounds fall below {SLACK_TOL}")
     for name, P in chains.items():
-        report = summability_certificate(P, Q, pi, f, V, n_horizon=horizon,
-                                         certificate=certs[name])
+        try:
+            report = summability_certificate(P, Q, pi, f, V, n_horizon=cfg.params["horizon"])
+        except UndecidableHorizonError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
         cert = report.certificate
         res.add(name, "rho", cert.rho)
         res.add(name, "C", cert.C)
@@ -590,6 +581,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the output directory: {exc}") from exc
+    written = []  # the files this run opened
     try:
         result = spec.runner(cfg)
         # a run that checked nothing has shown nothing: it fails like a broken assertion
@@ -607,21 +599,27 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
         # encoded before any file is opened: a non-finite value leaves no half file
         texts = {name: json.dumps(doc, indent=2, allow_nan=False)
                  for name, doc in (("report.json", report), ("metadata.json", meta))}
-    except ValueError:  # config and model errors alike: the run wrote nothing
+        try:
+            with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
+                written.append(fh.name)
+                writer = csv.writer(fh)
+                writer.writerow(CSV_COLUMNS)
+                for r in sorted(result.rows, key=lambda r: (r.algorithm, r.replicate, r.metric)):
+                    writer.writerow([cfg.scenario, r.algorithm, r.metric,
+                                     repr(r.value), repr(r.stderr), r.method,
+                                     cfg.seed if r.seed is None else r.seed, r.replicate])
+            for name, text in texts.items():
+                with open(os.path.join(out_dir, name), "w") as fh:
+                    written.append(fh.name)
+                    fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the outputs: {exc}") from exc
+    except ValueError:  # config, model and write errors alike: the run leaves nothing behind
+        for path in written:
+            os.remove(path)
         for path in made:
             os.rmdir(path)
         raise
-    rows = sorted(result.rows, key=lambda r: (r.algorithm, r.replicate, r.metric))
-    with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow([cfg.scenario, r.algorithm, r.metric,
-                             repr(r.value), repr(r.stderr), r.method,
-                             cfg.seed if r.seed is None else r.seed, r.replicate])
-    for name, text in texts.items():
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(text)
     return 0 if all_hold else 3
 
 

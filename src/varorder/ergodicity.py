@@ -25,6 +25,10 @@ class GeometricFitError(ValueError):
     """No geometric decay: the L2(pi) norm of P - Pi is (close to) 1."""
 
 
+class UndecidableHorizonError(ValueError):
+    """The bound at the horizon is at most SLACK_TOL: the check could not fail."""
+
+
 def drift_check(P: FiniteKernel, V: FunctionVector, lam: float) -> tuple[bool, float]:
     """Minimal b such that PV <= lam V + b; holds unless b is non-finite."""
     if not 0.0 < lam < 1.0:
@@ -95,38 +99,38 @@ class SummabilityReport:
 
 def summability_certificate(P: FiniteKernel, Q: FiniteKernel, pi: ProbVector,
                             f: FunctionVector, V: FunctionVector,
-                            n_horizon: int = 50,
-                            certificate: DriftCertificate | None = None) -> SummabilityReport:
+                            n_horizon: int = 50) -> SummabilityReport:
     """Verify the four geometric covariance bounds of the alternating chain
-    against exactly computed covariances; certificate is fit_certificate's
-    for P Q, pi and V, fitted here when None.
+    against exactly computed covariances, with fit_certificate's constants
+    for P Q, pi and V.
 
     The bounds are stated for centered f with |f|_{V^{1/2}} <= 1 and
     |Pf|_{V^{1/2}} <= 1; general f is rescaled and the scale reported.  Lag
     l >= 1 from start parity p meets bound (l - p) // 2, up to l = 2 n_horizon + 1 - p.
-    The relative slack is taken over the lags whose bound exceeds SLACK_TOL,
-    lag 1 among them; below it the absolute slack decides.
+    A horizon whose bound is at most SLACK_TOL raises UndecidableHorizonError,
+    naming the last lag whose bound exceeds it, before any covariance is computed.
     """
     if n_horizon < 0:
         raise ValueError(f"n_horizon must be >= 0, got {n_horizon}")
-    cert = certificate
-    if cert is None:
-        cert = fit_certificate(FiniteKernel(P.matrix @ Q.matrix, P.space), pi, V)
+    cert = fit_certificate(FiniteKernel(P.matrix @ Q.matrix, P.space), pi, V)
+    piV = float(np.sum(pi.weights * V.values))
+    bound = (2.0 * cert.C * cert.rho ** np.arange(n_horizon + 1)) ** 0.5 * piV
+    if not bound[-1] > SLACK_TOL:  # bound decreases from bound[0] >= sqrt(2) > SLACK_TOL
+        raise UndecidableHorizonError(
+            f"horizon must be <= {np.count_nonzero(bound > SLACK_TOL) - 1}, got {n_horizon}: "
+            f"past it the covariance bounds fall below {SLACK_TOL}")
     fbar = f.values - float(np.sum(pi.weights * f.values))
     vhalf = np.sqrt(V.values)
     f_norm = float(np.max(np.abs(fbar) / vhalf))
     pf_norm = float(np.max(np.abs(P.matrix @ fbar) / vhalf))
     scale = max(f_norm, pf_norm, 1e-300)
     g = fbar / scale
-    piV = float(np.sum(pi.weights * V.values))
-    bound = (2.0 * cert.C * cert.rho ** np.arange(n_horizon + 1)) ** 0.5 * piV
     last = 2 * n_horizon + 1
     cov = alternating_autocov(P.matrix, Q.matrix, pi.weights, g, last + 1)[1:]
     lag, parity = np.arange(1, last + 1)[:, None], np.arange(2)
     met, within = bound[(lag - parity) // 2], lag <= last - parity
     slack = np.min(met - np.abs(cov), where=within, initial=np.inf)
-    ratio = np.divide(np.abs(cov), met, out=np.full(cov.shape, -np.inf),
-                      where=within & (met > SLACK_TOL))
+    ratio = np.divide(np.abs(cov), met, out=np.full(cov.shape, -np.inf), where=within)
     at = np.unravel_index(np.argmax(ratio), ratio.shape)
     return SummabilityReport(certificate=cert, f_vhalf_norm=f_norm,
                              pf_vhalf_norm=pf_norm, scale=scale,

@@ -31,8 +31,8 @@ class ReducibleKernelError(ValueError):
 class FiniteAugmentedModel:
     """Finite augmented target: pi(y, u) = pi_star(y) r(y, u).
 
-    The refresh kernel is given either directly (r) or in the pseudo-marginal
-    factorized form (rcheck, w) with r = rcheck * w.  S maps (y, u) to a
+    The refresh kernel is given in exactly one form: r, or the pseudo-marginal
+    factorization (rcheck, w), stored as r = rcheck * w.  S maps (y, u) to a
     distribution over proposed y; T maps (y, u, yhat) to a distribution
     over proposed u.
     """
@@ -54,15 +54,11 @@ class FiniteAugmentedModel:
         for name in tables + ("w",):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        given = tuple(getattr(self, name) is not None for name in ("r", "rcheck", "w"))
+        if given not in ((True, False, False), (False, True, True)):
+            raise ValueError("give exactly one refresh form: r, or (rcheck, w)")
         if self.rcheck is not None:
-            if self.w is None:
-                raise ValueError("rcheck requires the weight table w")
-            derived = self.rcheck * self.w
-            if self.r is not None and np.max(np.abs(self.r - derived)) > 1e-10:
-                raise ValueError("r and rcheck * w disagree")
-            object.__setattr__(self, "r", derived)
-        elif self.r is None:
-            raise ValueError("either r or (rcheck, w) must be supplied")
+            object.__setattr__(self, "r", self.rcheck * self.w)
         # pi_star and every row of r, rcheck, S (over yhat) and T (over uhat) are distributions
         for name in tables:
             if getattr(self, name) is not None:
@@ -187,11 +183,11 @@ def extract_kernel(algorithm: str, m: FiniteAugmentedModel) -> ExtractedKernel:
 
 
 def marginal_kernel(K: ExtractedKernel, m: FiniteAugmentedModel) -> FiniteKernel:
-    """Y-marginal kernel K_Y(y, yhat) = sum_u p(u|y) sum_uhat K(y,u; yhat,uhat).
+    """Y-marginal kernel K_Y(y, yhat) = sum_u r(y, u) sum_uhat K(y,u; yhat,uhat).
 
-    Valid only when the algorithm's y-process is Markov (systematic
-    refreshment, noisy, marginal MH); this is a caller-asserted precondition
-    that cannot be detected here.
+    For a kernel that leaves pi_star * r invariant, pi_star(y) K_Y(y, yhat) is
+    the one-step stationary y-flow.  K_Y is the y-chain's kernel when the
+    y-process is Markov (systematic refreshment, noisy, marginal MH).
     """
     ny, nu = m.Y.size, m.U.size
     J = K.kernel.matrix.reshape(ny, nu, ny, nu)

@@ -95,9 +95,9 @@ def conjugate_toy() -> FiniteAugmentedModel:
 def finite_gimh_toy(N: int = 2) -> tuple[FiniteAugmentedModel, dict]:
     """Finite GIMH model: |Y| = 2, |V| = 2, U = V^N.
 
-    Returns the augmented model (with both the exact r and the (rcheck, w)
-    factorization, so the same toy drives GIMH and MCWM analyses) plus a
-    dict of the underlying tables.
+    Returns the augmented model, given in the (rcheck, w) factorization so
+    the same toy drives GIMH and MCWM analyses, plus a dict of the
+    underlying tables.
     """
     Y = StateSpace(["y0", "y1"])
     V = ["v0", "v1"]

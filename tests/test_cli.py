@@ -463,6 +463,20 @@ def test_unusable_out_dir_is_a_config_error_before_the_run(tmp_path, capsys, mon
     assert ran == []
 
 
+@pytest.mark.parametrize("blocked", ["results.csv", "report.json", "metadata.json"])
+def test_unwritable_output_is_a_config_error_that_leaves_no_file(tmp_path, capsys, blocked):
+    """A directory where an output file goes makes the write fail: the run
+    exits 1 with one line, and removes what it wrote before the failure."""
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    cfg = write_config(tmp_path, {"scenario": "remark14"})
+    assert cli.main(["run", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "cannot write the outputs" in err
+    assert os.listdir(out) == [blocked]
+
+
 def test_simulation_rows_are_labeled_by_how_they_were_made(tmp_path):
     """rmcmc writes one accept_rate row per replicate, ABC one per step kind
     (refresh, move); no row claims batch means unless batch means made its

@@ -1,11 +1,14 @@
 """Geometric-decay certificates and the covariance-bound verification."""
 
+import math
+
 import numpy as np
 import pytest
 
-from varorder import exactify, toys
-from varorder.ergodicity import (DriftCertificate, GeometricFitError, drift_check,
-                                 fit_certificate, summability_certificate)
+from varorder import ergodicity, exactify, toys
+from varorder.ergodicity import (SLACK_TOL, DriftCertificate, GeometricFitError,
+                                 UndecidableHorizonError, drift_check, fit_certificate,
+                                 summability_certificate)
 from varorder.kernels import (FiniteKernel, FunctionVector, ProbVector,
                               constant_kernel)
 from varorder.samplers import RngStream
@@ -274,3 +277,52 @@ def test_summability_certificate_rejects_a_negative_horizon():
     with pytest.raises(ValueError, match="n_horizon"):
         summability_certificate(exactify.systematic_refresh_kernel(m),
                                 exactify.accept_kernel(m), pi, f, V, n_horizon=-1)
+
+
+class CovarianceComputed(Exception):
+    pass
+
+
+def no_covariance(*args):
+    raise CovarianceComputed
+
+
+@pytest.mark.parametrize("refresh, decidable", [(exactify.systematic_refresh_kernel, 77),
+                                               (exactify.random_refresh_kernel, 78)])
+def test_undecidable_horizon_is_refused_before_any_covariance(monkeypatch, refresh,
+                                                              decidable):
+    """Past the last lag whose bound exceeds SLACK_TOL the check could not
+    fail, so summability_certificate refuses the horizon from the fitted
+    certificate alone, naming that lag, for every caller."""
+    m, pi, V = registry_pieces()
+    P, Q = refresh(m), exactify.accept_kernel(m)
+    f = FunctionVector(np.arange(pi.space.size, dtype=float), pi.space)
+    assert summability_certificate(P, Q, pi, f, V, n_horizon=decidable).holds
+    monkeypatch.setattr(ergodicity, "alternating_autocov", no_covariance)
+    for n_horizon in (decidable + 1, 500_000):
+        with pytest.raises(UndecidableHorizonError,
+                           match=f"horizon must be <= {decidable}, got {n_horizon}:"):
+            summability_certificate(P, Q, pi, f, V, n_horizon=n_horizon)
+
+
+def test_refusal_lag_matches_the_closed_form(monkeypatch):
+    """The refusal lag is the last k with (2 C rho^k)^(1/2) pi(V) > SLACK_TOL,
+    ceil(log(SLACK_TOL^2 / (2 C pi(V)^2)) / log rho) - 1, on random
+    pi-reversible pairs sharing one pi with V = max pi / pi."""
+    monkeypatch.setattr(ergodicity, "alternating_autocov", no_covariance)
+    rng = np.random.default_rng(31)
+    for n in (3, 5, 8):
+        for _ in range(4):
+            P, pi = random_reversible_kernel(rng, n)
+            Q, _ = random_reversible_kernel(rng, n, pi)
+            V = FunctionVector(pi.weights.max() / pi.weights, pi.space)
+            f = FunctionVector(rng.normal(size=n), pi.space)
+            cert = fit_certificate(FiniteKernel(P.matrix @ Q.matrix, P.space), pi, V)
+            piV = float(np.sum(pi.weights * V.values))
+            decidable = math.ceil(math.log(SLACK_TOL ** 2 / (2.0 * cert.C * piV ** 2))
+                                  / math.log(cert.rho)) - 1
+            with pytest.raises(CovarianceComputed):
+                summability_certificate(P, Q, pi, f, V, n_horizon=decidable)
+            with pytest.raises(UndecidableHorizonError,
+                               match=f"horizon must be <= {decidable}, "):
+                summability_certificate(P, Q, pi, f, V, n_horizon=decidable + 1)

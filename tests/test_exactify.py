@@ -114,6 +114,14 @@ def test_inconsistent_factorization_rejected(model):
                              rcheck=model.rcheck, w=model.w)
 
 
+def test_weights_need_rcheck(model):
+    """w is read only through rcheck * w: alongside r it would go unchecked."""
+    with pytest.raises(ValueError, match="exactly one refresh form"):
+        FiniteAugmentedModel(Y=model.Y, U=model.U, pi_star=model.pi_star,
+                             S=model.S, T=model.T, r=model.r,
+                             w=np.full_like(model.w, np.nan))
+
+
 def test_joint_pi_marginalizes_to_pi_star(model):
     ym = y_marginal_of(model.joint_pi, model)
     assert np.allclose(ym.weights, model.pi_star, atol=1e-14)
