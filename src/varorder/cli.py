@@ -126,8 +126,20 @@ class ScenarioConfig:
 class ScenarioSpec:
     name: str
     description: str
-    runner: Callable[[ScenarioConfig], ScenarioResult]
+    runner: Callable[[ScenarioConfig, ScenarioResult], None]
     defaults: dict = field(default_factory=dict)
+
+
+_REGISTRY: dict = {}  # {name: ScenarioSpec}, in the order the runners are defined
+
+
+def _scenario(name: str, description: str, **defaults):
+    """Register the decorated runner(cfg, res) as scenario name with the params
+    defaults, in the order given; run_scenario passes in the result res to fill."""
+    def register(runner):
+        _REGISTRY[name] = ScenarioSpec(name, description, runner, defaults)
+        return runner
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +211,11 @@ def _stationary_y_tv_gap(K: FiniteKernel, m: exactify.FiniteAugmentedModel) -> f
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def _run_remark14(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("remark14",
+           "Exact asymptotic variances of the two-state counterexample product chains: "
+           "holding the chain beats full randomization despite the covariance ordering.",
+           epsilons=[0.1, 0.5, 0.9])
+def _run_remark14(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     pi = toys.uniform_two_state()
     f = toys.identity_function()
     I = identity_kernel(pi.space)
@@ -219,11 +234,12 @@ def _run_remark14(cfg: ScenarioConfig) -> ScenarioResult:
         res.check(f"holding beats randomizing at eps={eps}", called, v0, "<", v1)
     res.report["note"] = ("covariance-ordered pairs need not be ordered in "
                           "asymptotic variance once the companion kernels differ")
-    return res
 
 
-def _run_flip(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("flip-counterexample",
+           "Periodic flip companion: the summability precondition fails while the "
+           "partial-sum variance still vanishes.", horizon=40)
+def _run_flip(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     pi = toys.uniform_two_state()
     f = toys.identity_function()
     flip = toys.flip_kernel()
@@ -244,11 +260,12 @@ def _run_flip(cfg: ScenarioConfig) -> ScenarioResult:
     res.report["note"] = ("the partial-sum variance vanishes even though the "
                           "geometric-summability condition fails: the condition "
                           "is sufficient, not necessary")
-    return res
 
 
-def _run_theorem4_pairs(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("theorem4-random-pairs",
+           "Random covariance-ordered kernel quadruples: the dominating pair never "
+           "has larger exact alternating variance.", pairs=200)
+def _run_theorem4_pairs(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     n_pairs = cfg.params["pairs"]
     rng = RngStream("theorem4-random-pairs", cfg.seed).generator
     by_size = {}
@@ -264,7 +281,6 @@ def _run_theorem4_pairs(cfg: ScenarioConfig) -> ScenarioResult:
     res.add("alternating", "pairs_checked", float(n_pairs))
     res.check("dominating pair never increases the asymptotic variance",
               "variance.asvar_alternating_stack", min_margin, ">=", 0.0, ORDER_TOL)
-    return res
 
 
 def _check_freeze_orderings(res: ScenarioResult, m, cfg: ScenarioConfig,
@@ -287,14 +303,17 @@ def _check_freeze_orderings(res: ScenarioResult, m, cfg: ScenarioConfig,
                   ">=", 0.0, ORDER_TOL)
 
 
-def _run_freeze_vs_refresh(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("freeze-vs-refresh",
+           "Registry toy: systematic and random refreshment never beat freezing "
+           "in asymptotic variance, exactly.", functions=20)
+def _run_freeze_vs_refresh(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     _check_freeze_orderings(res, toys.registry_toy(), cfg)
-    return res
 
 
-def _run_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("random-refresh",
+           "Random refreshment is reversible for the augmented target, exact for "
+           "the marginal, and at most as variable as freezing.", functions=20)
+def _run_random_refresh(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     m = toys.registry_toy()
     ext = exactify.extract_kernel("random_refresh", m)
     y_kernel = exactify.marginal_kernel(ext, m)
@@ -311,33 +330,36 @@ def _run_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
     res.check("stationary y-marginal equals the target", "exactify.stationary_distribution",
               gap, "<=", 0.0, EXACT_TOL)
     _check_freeze_orderings(res, m, cfg, algorithms=("freeze", "random_refresh"))
-    return res
 
 
-def _run_gimh_exactness(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("gimh-exactness",
+           "Finite importance-sampling toy: the frozen-sample chain targets the "
+           "marginal exactly.")
+def _run_gimh_exactness(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     m, _ = toys.finite_gimh_toy()
     for algorithm in ("freeze", "random_refresh"):
         gap = _stationary_y_tv_gap(exactify.extract_kernel(algorithm, m).kernel, m)
         res.add(algorithm, "stationary_y_tv_gap", gap)
         res.check(f"{algorithm} y-marginal is exactly the target",
                   "exactify.stationary_distribution", gap, "<=", 0.0, EXACT_TOL)
-    return res
 
 
-def _run_mcwm_bias(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("mcwm-bias",
+           "Unconditional reweighted refreshment is biased: positive stationary "
+           "total-variation gap on the registry toy.")
+def _run_mcwm_bias(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     m = toys.registry_toy()
     gap = _stationary_y_tv_gap(exactify.extract_kernel("noisy", m).kernel, m)
     res.add("noisy", "stationary_y_tv_gap", gap)
     res.check("unconditional refreshment is biased on this model",
               "exactify.stationary_distribution", gap, ">", MCWM_MIN_GAP)
     res.report["tv_gap"] = gap
-    return res
 
 
-def _run_marginal_mh_peskun(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("marginal-mh-peskun",
+           "Marginal MH with the integrated proposal dominates systematic "
+           "refreshment off-diagonal and in asymptotic variance.", functions=20)
+def _run_marginal_mh_peskun(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     m = toys.registry_toy()
     sys_y = exactify.marginal_kernel(exactify.extract_kernel("systematic", m), m)
     mh_y = exactify.extract_kernel("marginal_mh", m).kernel
@@ -353,11 +375,12 @@ def _run_marginal_mh_peskun(cfg: ScenarioConfig) -> ScenarioResult:
     res.add("marginal_mh", "min_margin_vs_systematic", min_margin)
     res.check("asvar(marginal MH) <= asvar(systematic refreshment)",
               "variance.asvar_homogeneous_stack", min_margin, ">=", 0.0, ORDER_TOL)
-    return res
 
 
-def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("gmtm-equivalence",
+           "Multiple-try Metropolis equals its systematic-refreshment embedding "
+           "entrywise; one try collapses to standard MH.", tries=2)
+def _run_gmtm_equivalence(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     m1 = toys.gmtm_toy(1)
     worst = max(abs(gmtm_log_ratio(m1, y, (yh,), yh, (y,))
                     - (m1.log_pi_star(yh) + m1.log_rcheck(yh, y)
@@ -373,14 +396,16 @@ def _run_gmtm_equivalence(cfg: ScenarioConfig) -> ScenarioResult:
     res.add("gmtm", "kernel_vs_embedding_max_gap", gap)
     res.check("multiple-try kernel equals its refreshment embedding",
               "special_cases.gmtm_exact_kernel", gap, "<=", 0.0, EXACT_TOL)
-    return res
 
 
-def _run_rmcmc_gaussian(cfg: ScenarioConfig) -> ScenarioResult:
+@_scenario("rmcmc-gaussian",
+           "Involution-form random-walk sampler on a standard Gaussian: moment "
+           "recovery with batch-means error bars.",
+           step=1.0, chain_length=100_000, replicates=1)
+def _run_rmcmc_gaussian(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     n, replicates = cfg.params["chain_length"], cfg.params["replicates"]
     if n < 200:  # batch means with its default 100 batches needs two draws per batch
         raise ConfigError(f"rmcmc-gaussian needs chain_length >= 200, got {n}")
-    res = ScenarioResult()
     model = toys.gaussian_rmcmc_model(step=cfg.params["step"])
     # Bonferroni over the replicates: a correct chain fails some check of the run
     # with probability RMCMC_ALPHA; for n a multiple of 100, mean / se_mean is the
@@ -399,12 +424,16 @@ def _run_rmcmc_gaussian(cfg: ScenarioConfig) -> ScenarioResult:
         res.check(f"replicate {rep} mean within {z:.2f} se of 0", "special_cases.rmcmc_chain",
                   mean, "==", 0.0, z * se_mean)
     res.report["family_wise_alpha"] = RMCMC_ALPHA
-    return res
 
 
-def _run_abc_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
-    abc, log_prior, prop, target = toys.abc_toy(cfg.params["h"])
+@_scenario("abc-random-refresh",
+           "Discrete ABC toy run with random refreshment; empirical law checked "
+           "against the exactly computed smoothed posterior.", h=1.0, chain_length=100_000)
+def _run_abc_random_refresh(cfg: ScenarioConfig, res: ScenarioResult) -> None:
+    try:  # a bandwidth so small that the target has no mass is refused like a short chain
+        abc, log_prior, prop, target = toys.abc_toy(cfg.params["h"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     model = abc_random_refresh_model(abc, log_prior, prop)
     n = cfg.params["chain_length"]
     tol = max(5.0 / math.sqrt(max(n, 1)), 0.02)
@@ -430,11 +459,12 @@ def _run_abc_random_refresh(cfg: ScenarioConfig) -> ScenarioResult:
                 method="empirical_frequency")
     res.check("empirical law matches the exact smoothed posterior",
               "samplers.random_refresh_step", gap, "<=", 0.0, tol)
-    return res
 
 
-def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
-    res = ScenarioResult()
+@_scenario("ergodicity-certificates",
+           "Drift and geometric-decay certificates plus covariance bounds for the "
+           "registry toy's refreshment chains.", horizon=50)
+def _run_ergodicity(cfg: ScenarioConfig, res: ScenarioResult) -> None:
     m = toys.registry_toy()
     Q = exactify.accept_kernel(m)
     pi = m.joint_pi
@@ -457,83 +487,17 @@ def _run_ergodicity(cfg: ScenarioConfig) -> ScenarioResult:
                   "ergodicity.summability_certificate", report.min_bound_slack, ">=", 0.0,
                   SLACK_TOL)
         res.report[name] = report.to_document()
-    return res
 
 
 # ---------------------------------------------------------------------------
-# registry / plumbing
+# configs / plumbing
 # ---------------------------------------------------------------------------
-
-_REGISTRY = {spec.name: spec for spec in (
-    ScenarioSpec(
-        "remark14",
-        "Exact asymptotic variances of the two-state counterexample product "
-        "chains: holding the chain beats full randomization despite the "
-        "covariance ordering.",
-        _run_remark14, {"epsilons": [0.1, 0.5, 0.9]}),
-    ScenarioSpec(
-        "flip-counterexample",
-        "Periodic flip companion: the summability precondition fails while the "
-        "partial-sum variance still vanishes.",
-        _run_flip, {"horizon": 40}),
-    ScenarioSpec(
-        "theorem4-random-pairs",
-        "Random covariance-ordered kernel quadruples: the dominating pair never "
-        "has larger exact alternating variance.",
-        _run_theorem4_pairs, {"pairs": 200}),
-    ScenarioSpec(
-        "freeze-vs-refresh",
-        "Registry toy: systematic and random refreshment never beat freezing "
-        "in asymptotic variance, exactly.",
-        _run_freeze_vs_refresh, {"functions": 20}),
-    ScenarioSpec(
-        "random-refresh",
-        "Random refreshment is reversible for the augmented target, exact for "
-        "the marginal, and at most as variable as freezing.",
-        _run_random_refresh, {"functions": 20}),
-    ScenarioSpec(
-        "gimh-exactness",
-        "Finite importance-sampling toy: the frozen-sample chain targets the "
-        "marginal exactly.",
-        _run_gimh_exactness, {}),
-    ScenarioSpec(
-        "mcwm-bias",
-        "Unconditional reweighted refreshment is biased: positive stationary "
-        "total-variation gap on the registry toy.",
-        _run_mcwm_bias, {}),
-    ScenarioSpec(
-        "marginal-mh-peskun",
-        "Marginal MH with the integrated proposal dominates systematic "
-        "refreshment off-diagonal and in asymptotic variance.",
-        _run_marginal_mh_peskun, {"functions": 20}),
-    ScenarioSpec(
-        "gmtm-equivalence",
-        "Multiple-try Metropolis equals its systematic-refreshment embedding "
-        "entrywise; one try collapses to standard MH.",
-        _run_gmtm_equivalence, {"tries": 2}),
-    ScenarioSpec(
-        "rmcmc-gaussian",
-        "Involution-form random-walk sampler on a standard Gaussian: moment "
-        "recovery with batch-means error bars.",
-        _run_rmcmc_gaussian, {"step": 1.0, "chain_length": 100_000, "replicates": 1}),
-    ScenarioSpec(
-        "abc-random-refresh",
-        "Discrete ABC toy run with random refreshment; empirical law checked "
-        "against the exactly computed smoothed posterior.",
-        _run_abc_random_refresh, {"h": 1.0, "chain_length": 100_000}),
-    ScenarioSpec(
-        "ergodicity-certificates",
-        "Drift and geometric-decay certificates plus covariance bounds for the "
-        "registry toy's refreshment chains.",
-        _run_ergodicity, {"horizon": 50}),
-)}
-
 
 def load_config(path: str, seed_override=None) -> ScenarioConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8 decoding
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_document(doc, seed_override=seed_override)
 
@@ -583,7 +547,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, threads: int = 1) -> int:
         raise ConfigError(f"cannot make the output directory: {exc}") from exc
     written = []  # the files this run opened
     try:
-        result = spec.runner(cfg)
+        result = ScenarioResult()
+        spec.runner(cfg, result)
         # a run that checked nothing has shown nothing: it fails like a broken assertion
         all_hold = bool(result.assertions) and all(a["holds"] for a in result.assertions)
         report = {"scenario": cfg.scenario, "assertions": result.assertions,

@@ -201,5 +201,8 @@ def abc_toy(h: float) -> tuple[ABCModel, Callable, Proposal, ProbVector]:
                     log_density=lambda y, yh: -math.log(3.0))
     weights = np.array([sum(p * m.weight_value(y + nz) for nz, p in noise)
                         for y in ys])
+    if not weights.any():
+        raise ValueError(f"h = {h!r} leaves the target no mass: every ABC weight "
+                         f"K((s(u) - obs) / h) underflows to 0")
     target = ProbVector(weights / weights.sum(), StateSpace(ys))
     return m, log_prior, prop, target

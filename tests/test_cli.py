@@ -36,6 +36,14 @@ def test_registry_is_complete():
     assert EXPECTED_SCENARIOS <= set(cli._REGISTRY)
 
 
+def test_every_runner_is_registered_exactly_once():
+    """A _run_* function that no _scenario decorator registers would be dead code."""
+    defined = sorted(name for name, value in vars(cli).items()
+                     if name.startswith("_run_") and callable(value))
+    registered = sorted(spec.runner.__name__ for spec in cli._REGISTRY.values())
+    assert defined and registered == defined
+
+
 def test_list_and_describe(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
@@ -57,6 +65,20 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
     assert cli.main(["run", str(path)]) == 1
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", b'{"scenario": "remark14", "seed": ' + b"9" * 5000 + b"}", b"[" * 100_000],
+    ids=["not-utf-8", "5000-digit-seed", "100000-nested-lists"])
+def test_unreadable_config_is_a_one_line_config_error(tmp_path, capsys, content):
+    """Decoding errors past JSON syntax (UTF-8, int digits, nesting depth)
+    are config errors too, not tracebacks."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("doc, args, message", [
@@ -158,10 +180,8 @@ def test_replicates_with_equal_seeds_give_identical_rows(tmp_path):
 
 
 def test_assertion_failure_exits_3(tmp_path, monkeypatch):
-    def failing_runner(cfg):
-        res = cli.ScenarioResult()
+    def failing_runner(cfg, res):
         res.check("always false", "variance.asvar_homogeneous", 1.0, "<", 1.0)
-        return res
 
     monkeypatch.setitem(cli._REGISTRY, "remark14",
                         cli.ScenarioSpec("remark14", "stub", failing_runner, {}))
@@ -363,11 +383,9 @@ def test_mean_check_threshold_is_the_student_t_quantile(replicates):
 def test_non_finite_report_value_is_a_model_error_that_writes_nothing(tmp_path, capsys,
                                                                        monkeypatch):
     """JSON has no NaN; the run exits 2 before it opens any output file."""
-    def nan_runner(cfg):
-        res = cli.ScenarioResult()
+    def nan_runner(cfg, res):
         res.check("holds", "variance.asvar_homogeneous", 0.0, "<=", 0.0)
         res.report["gap"] = float("nan")
-        return res
 
     monkeypatch.setitem(cli._REGISTRY, "remark14",
                         cli.ScenarioSpec("remark14", "stub", nan_runner, {}))
@@ -416,6 +434,17 @@ def test_abc_chain_too_short_for_its_check_to_fail_is_a_config_error(tmp_path, c
         assert not os.path.exists(out)
 
 
+def test_abc_bandwidth_that_leaves_the_target_no_mass_is_a_config_error(tmp_path, capsys):
+    """At h <= 0.0129 every ABC weight underflows to 0; the run names h
+    instead of failing on the weights it would have divided by 0."""
+    doc = {"scenario": "abc-random-refresh", "chain_length": 1000, "params": {"h": 0.01}}
+    out = str(tmp_path / "o")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error in scenario 'abc-random-refresh': h = 0.01 ")
+    assert err.count("\n") == 1 and not os.path.exists(out)
+
+
 @pytest.mark.parametrize("existing", [[], ["o"], ["o", "o/sub"], ["o", "o/sub", "o/sub/out"]])
 def test_config_error_in_a_runner_removes_only_the_directories_the_run_made(
         tmp_path, existing):
@@ -455,7 +484,7 @@ def test_unusable_out_dir_is_a_config_error_before_the_run(tmp_path, capsys, mon
     ran = []
     spec = cli._REGISTRY["remark14"]
     monkeypatch.setitem(cli._REGISTRY, "remark14", dataclasses.replace(
-        spec, runner=lambda cfg: ran.append(cfg) or spec.runner(cfg)))
+        spec, runner=lambda cfg, res: ran.append(cfg) or spec.runner(cfg, res)))
     cfg = write_config(tmp_path, {"scenario": "remark14"})
     assert cli.main(["run", cfg, "--out-dir", str(blocker / below)]) == 1
     err = capsys.readouterr().err
@@ -628,7 +657,7 @@ def test_out_of_range_scenario_params_are_named_in_the_config_error(tmp_path, ca
 
 def test_run_that_checks_no_assertion_fails(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._REGISTRY, "remark14",
-                        cli.ScenarioSpec("remark14", "stub", lambda cfg: cli.ScenarioResult(), {}))
+                        cli.ScenarioSpec("remark14", "stub", lambda cfg, res: None, {}))
     out = str(tmp_path / "o")
     assert cli.main(["run", write_config(tmp_path, {"scenario": "remark14"}),
                      "--out-dir", out]) == 3
@@ -666,14 +695,12 @@ def test_check_records_a_certificate_and_its_witness():
 def test_non_finite_check_value_fails_and_is_written_as_null(tmp_path, monkeypatch):
     """None, NaN and +-inf fail whatever the relation, and report.json, still
     encoded with allow_nan=False, holds null for the value and the margin."""
-    def runner(cfg):
-        res = cli.ScenarioResult()
+    def runner(cfg, res):
         for value in (None, math.nan, math.inf, -math.inf):
             for relation in ("<=", ">=", "=="):
                 res.check(f"{value} {relation}", "variance.asvar_homogeneous", value,
                           relation, 0.0, 1.0)
         res.check("finite", "variance.asvar_homogeneous", 0.0, "<=", 0.0)
-        return res
 
     monkeypatch.setitem(cli._REGISTRY, "remark14",
                         cli.ScenarioSpec("remark14", "stub", runner, {}))

@@ -284,6 +284,7 @@ def run_documents(draw):
 @given(run_documents())
 @example({"scenario": "abc-random-refresh", "chain_length": 2**1100})
 @example({"scenario": "rmcmc-gaussian", "chain_length": 1000, "replicates": 2**1100})
+@example({"scenario": "abc-random-refresh", "chain_length": 1000, "params": {"h": 0.01}})
 def test_any_small_run_exits_with_a_documented_code(doc):
     """A whole run of any generated config returns 0, 1, 2 or 3 and raises
     nothing: a value that breaks the run inside it is a config error at load.

@@ -1,7 +1,9 @@
 """tools/replay_diff.py: a tree replayed against itself moves nothing, and a
-moved, added or removed leaf is printed."""
+moved, added or removed leaf, a changed description and a scenario listed by
+one tree only are printed."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,26 @@ def test_a_tree_replayed_against_itself_moves_nothing():
     assert run.stdout == ""
     assert "mcwm-bias seed 1: exit 0 -> 0, 0 moved" in run.stderr
     assert run.stderr.endswith("largest relative move: none; 0 moved leaf(s) without one\n")
+
+
+def test_a_changed_description_and_a_renamed_scenario_are_printed(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "varorder" / "cli.py"
+    text = cli.read_text()
+    assert text.count("positive stationary") == 1 and text.count('"gimh-exactness"') == 1
+    cli.write_text(text.replace("positive stationary", "a stationary")
+                   .replace('"gimh-exactness"', '"gimh-exact"'))
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(tmp_path),
+                          "--scenario", "mcwm-bias", "--seed", "1"],
+                         capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[:2] == ["gimh-exact: listed only in the new tree",
+                         "gimh-exactness: listed only in the old tree"]
+    assert lines[2].startswith("mcwm-bias seed 1: describe: 'mcwm-bias\\nUnconditional")
+    assert "biased: positive stationary" in lines[2] and "biased: a stationary" in lines[2]
+    assert len(lines) == 3 and "mcwm-bias seed 1: exit 0 -> 0, 1 moved" in run.stderr
 
 
 def load_tool():

@@ -7,10 +7,11 @@ PYTHONPATH for its runs.  Every scenario (default: each that NEW_TREE lists)
 runs at its default params at each seed (default: 1, 7 and 42) through
 ``varorder.cli`` in a fresh process.  The script prints each changed exit code, each moved
 number of ``results.csv``, ``report.json`` and ``metadata.json`` (without
-``elapsed_seconds``) with its relative change, each other moved value, and
-each key that one tree writes and the other does not.  Its closing line
-names the largest relative move over all runs and where it was.  It exits 1
-when anything moved, 0 otherwise.
+``elapsed_seconds``) with its relative change, each other moved value (the
+``varorder describe`` text of the scenario among them), each key that one
+tree writes and the other does not, and each scenario that ``varorder list``
+shows in one tree only.  Its closing line names the largest relative move
+over all runs and where it was.  It exits 1 when anything moved, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -47,13 +48,14 @@ def _flatten(doc, prefix: str):
 
 def replay(tree: str, scenario: str, seed: int, out: str) -> dict:
     """Run one scenario on tree's src/ into out; returns {path: leaf} over its
-    exit code and output files."""
+    exit code, its describe text and its output files."""
     os.makedirs(out)
     config = os.path.join(out, "config.json")
     with open(config, "w") as fh:
         json.dump({"scenario": scenario}, fh)
     leaves = {"exit": _varorder(tree, "run", config, "--seed", str(seed),
-                                "--out-dir", out).returncode}
+                                "--out-dir", out).returncode,
+              "describe": _varorder(tree, "describe", scenario).stdout}
     if os.path.exists(path := os.path.join(out, "results.csv")):
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
@@ -128,13 +130,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", action="append", type=int,
                         help="a seed to replay at (repeatable; default 1, 7, 42)")
     args = parser.parse_args(argv)
+    trees = {"old": args.old_tree, "new": args.new_tree}
+    listed = {side: set(_varorder(tree, "list").stdout.split()) for side, tree in trees.items()}
+    unlisted = sorted(listed["old"] ^ listed["new"])
+    for name in unlisted:
+        print(f"{name}: listed only in the {'old' if name in listed['old'] else 'new'} tree")
     moved, runs = 0, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for scenario in args.scenario or _varorder(args.new_tree, "list").stdout.split():
+        for scenario in args.scenario or sorted(listed["new"]):
             for seed in args.seed or SEEDS:
                 old, new = (replay(tree, scenario, seed, os.path.join(tmp, side, scenario,
                                                                       str(seed)))
-                            for side, tree in (("old", args.old_tree), ("new", args.new_tree)))
+                            for side, tree in trees.items())
                 lines = moves(old, new)
                 moved += bool(lines)
                 runs[f"{scenario} seed {seed}"] = old, new
@@ -144,7 +151,7 @@ def main(argv=None) -> int:
                       f"{len(lines)} moved", file=sys.stderr)
     print(f"{moved} run(s) moved", file=sys.stderr)
     print(largest_move(runs), file=sys.stderr)
-    return 1 if moved else 0
+    return 1 if moved or unlisted else 0
 
 
 if __name__ == "__main__":
